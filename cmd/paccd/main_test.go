@@ -469,3 +469,85 @@ func TestServeStatsAndHealth(t *testing.T) {
 	}
 	hz.Body.Close()
 }
+
+// TestServeSubmitBodyTooLarge: a body over maxSubmitBody is refused with
+// 413 before it is decoded.
+func TestServeSubmitBodyTooLarge(t *testing.T) {
+	ts, _ := testServer(t)
+	body := `{"requests":[]}` + strings.Repeat(" ", maxSubmitBody)
+	resp, err := http.Post(ts.URL+"/v1/submit", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestServeSubmitBatchTooLarge: a small body whose grid would expand
+// past maxSubmitRequests — alone or together with explicit requests —
+// is refused with 400 before expansion.
+func TestServeSubmitBatchTooLarge(t *testing.T) {
+	ts, svc := testServer(t)
+	list := func(n int, f func(i int) string) string {
+		parts := make([]string, n)
+		for i := range parts {
+			parts[i] = f(i)
+		}
+		return "[" + strings.Join(parts, ",") + "]"
+	}
+	// Four 1000-entry lists: about 30 KB that would expand to 10^12
+	// requests.
+	thousand := func(f func(i int) string) string { return list(1000, f) }
+	huge := `{"grid":{"ops":` + thousand(func(i int) string { return `"allreduce"` }) +
+		`,"sizes":` + thousand(func(i int) string { return "1024" }) +
+		`,"modes":` + thousand(func(i int) string { return `"proposed"` }) +
+		`,"seeds":` + thousand(func(i int) string { return "7" }) +
+		`,"procs":8,"ppn":4}}`
+	// A grid exactly at the cap plus one explicit request.
+	atCap := `{"requests":[{"op":"allreduce","procs":8,"ppn":4,"bytes":1024}],"grid":{"ops":["allreduce"],"sizes":` +
+		list(maxSubmitRequests, func(i int) string { return "1024" }) + `,"procs":8,"ppn":4}}`
+	for name, body := range map[string]string{"grid": huge, "grid+requests": atCap} {
+		resp, err := http.Post(ts.URL+"/v1/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := svc.Bus().Counter(sweep.CtrAccepted); n != 0 {
+		t.Fatalf("refused batches admitted %d requests", n)
+	}
+}
+
+// FuzzSubmitDecode: whatever arrives at /v1/submit, the handler never
+// panics, and a body that is not a well-formed submit request gets a
+// 4xx. The service is closed, so well-formed batches are shed instead
+// of run.
+func FuzzSubmitDecode(f *testing.F) {
+	f.Add([]byte(`{"requests":[{"op":"allreduce","procs":8,"ppn":4,"bytes":1024}],` +
+		`"grid":{"ops":["allreduce","bcast_binomial"],"sizes":[1024,65536],"modes":["proposed"],"seeds":[1,2],"procs":8,"ppn":4}}`))
+	f.Add([]byte(`{"grid":{"ops":["allreduce"],"sizes":[1024],"procs":8,"ppn":4}}`))
+	f.Add([]byte(`{`))
+	store, _, err := sweep.OpenStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc := sweep.NewService(store, sweep.Config{Workers: 1, QueueDepth: 4})
+	svc.Close()
+	mux := newMux(svc)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/submit", bytes.NewReader(body)))
+		var parsed submitRequest
+		if json.Unmarshal(body, &parsed) != nil && (rec.Code < 400 || rec.Code >= 500) {
+			t.Fatalf("malformed body %q answered %d, want 4xx", body, rec.Code)
+		}
+		if rec.Code >= 500 && rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("body %q answered %d", body, rec.Code)
+		}
+	})
+}

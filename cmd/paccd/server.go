@@ -4,9 +4,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"pacc/internal/sweep"
+)
+
+// Limits on one POST /v1/submit. A body over maxSubmitBody is refused
+// with 413; a batch whose explicit requests plus grid cells exceed
+// maxSubmitRequests is refused with 400 before the grid is expanded.
+const (
+	maxSubmitBody     = 16 << 20
+	maxSubmitRequests = 1 << 16
 )
 
 // submitRequest is the POST /v1/submit body: explicit requests, an
@@ -113,9 +122,27 @@ func newMux(svc *sweep.Service) *http.ServeMux {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, fmt.Sprintf("request body over %d bytes", maxSubmitBody), http.StatusRequestEntityTooLarge)
+				return
+			}
+			http.Error(w, "reading request body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
 		var body submitRequest
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		if err := json.Unmarshal(raw, &body); err != nil {
 			http.Error(w, "malformed request body: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		cells, ok := 0, true
+		if body.Grid != nil {
+			cells, ok = body.Grid.Cells(maxSubmitRequests)
+		}
+		if !ok || len(body.Requests) > maxSubmitRequests-cells {
+			http.Error(w, fmt.Sprintf("batch over %d requests", maxSubmitRequests), http.StatusBadRequest)
 			return
 		}
 		reqs := body.Requests

@@ -57,6 +57,9 @@ func TestFacadeConfigPersistence(t *testing.T) {
 	}
 }
 
+// TestFacadeTraceRecorder: the observability session's merged trace
+// carries the per-core power timeline, including the §V-B leader-socket
+// T4 and idle-socket T7 levels of a Proposed broadcast.
 func TestFacadeTraceRecorder(t *testing.T) {
 	cfg, err := ClusterFor(16)
 	if err != nil {
@@ -66,7 +69,7 @@ func TestFacadeTraceRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := AttachTrace(w)
+	sess := AttachObs(w)
 	w.Launch(func(r *Rank) {
 		Bcast(CommWorld(r), 0, 256<<10, CollectiveOptions{Power: Proposed})
 	})
@@ -74,15 +77,23 @@ func TestFacadeTraceRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, w.Engine().Now()); err != nil {
+	if err := sess.WriteTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace not JSON: %v", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("empty trace")
+	tstates := map[float64]bool{}
+	for _, ev := range events {
+		if args, ok := ev["args"].(map[string]any); ok && ev["ph"] == "X" {
+			if ts, ok := args["tstate"].(float64); ok {
+				tstates[ts] = true
+			}
+		}
+	}
+	if !tstates[4] || !tstates[7] {
+		t.Fatalf("power spans cover T-states %v, want T4 and T7", tstates)
 	}
 }
 

@@ -99,14 +99,12 @@ func recursiveDoublingAllgather(c *mpi.Comm, bytes int64, block int) {
 
 func allgatherMC(c *mpi.Comm, bytes int64, opt Options, throttle bool) {
 	r := c.Owner()
-	me := c.Rank()
 	if c.Size() == 1 {
 		return
 	}
 	shmC, leadC := c.SplitByNode()
 	block := c.TagBlock()
 	isLeader := leadC != nil
-	leaderSock := leaderSocketOf(shmC)
 	ppn := int64(shmC.Size())
 
 	// Intra gather: non-leaders deposit their block, leader collects.
@@ -123,15 +121,7 @@ func allgatherMC(c *mpi.Comm, bytes int64, opt Options, throttle bool) {
 	})
 
 	if throttle {
-		switch {
-		case opt.CoreGranularThrottle && isLeader:
-		case opt.CoreGranularThrottle:
-			r.SetThrottle(opt.deepT())
-		case c.SocketOf(me) == leaderSock:
-			r.SetThrottle(opt.partialT())
-		default:
-			r.SetThrottle(opt.deepT())
-		}
+		networkThrottle(c, shmC, opt, isLeader)
 	}
 
 	// Network phase: ring allgather of node blocks (ppn * bytes each).

@@ -21,7 +21,7 @@ func Allreduce(c *mpi.Comm, bytes int64, opt Options) error {
 			return
 		}
 		if isPow2(n) && opt.Power != Proposed {
-			run := func() { recursiveDoublingAllreduce(c, bytes, opt) }
+			run := func() { recursiveDoublingAllreduce(c, bytes) }
 			if opt.Power == FreqScaling {
 				withFreqScaling(c, run)
 				return
@@ -57,7 +57,7 @@ func AllreduceRD(c *mpi.Comm, bytes int64, opt Options) error {
 			return
 		}
 		if opt.refImperative {
-			run := func() { recursiveDoublingAllreduce(c, bytes, opt) }
+			run := func() { recursiveDoublingAllreduce(c, bytes) }
 			if opt.Power == FreqScaling || opt.Power == Proposed {
 				withFreqScaling(c, run)
 				return
@@ -70,13 +70,13 @@ func AllreduceRD(c *mpi.Comm, bytes int64, opt Options) error {
 	return err
 }
 
-func recursiveDoublingAllreduce(c *mpi.Comm, bytes int64, opt Options) {
+func recursiveDoublingAllreduce(c *mpi.Comm, bytes int64) {
 	n, me := c.Size(), c.Rank()
 	block := c.TagBlock()
 	for mask := 1; mask < n; mask <<= 1 {
 		peer := me ^ mask
 		tag := c.PairTag(block, me, peer) + (1<<17)*logOf(mask)
 		c.Exchange(peer, bytes, tag, peer, bytes, tag)
-		reduceOp(c, bytes, opt)
+		reduceOp(c, bytes)
 	}
 }

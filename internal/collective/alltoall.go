@@ -49,7 +49,7 @@ func Alltoall(c *mpi.Comm, bytes int64, opt Options) error {
 
 func alltoallDefault(c *mpi.Comm, bytes int64, opt Options) {
 	if bytes <= bruckThreshold {
-		alltoallBruck(c, bytes, opt)
+		alltoallBruck(c, bytes)
 		return
 	}
 	alltoallPairwise(c, constSize(bytes), opt)
@@ -99,10 +99,10 @@ func AlltoallBruck(c *mpi.Comm, bytes int64, opt Options) error {
 				// Bruck is only used for small messages, where the
 				// phased schedule has nothing to hide behind; both
 				// power-aware schemes reduce to per-call DVFS.
-				withFreqScaling(c, func() { alltoallBruck(c, bytes, opt) })
+				withFreqScaling(c, func() { alltoallBruck(c, bytes) })
 				return
 			}
-			alltoallBruck(c, bytes, opt)
+			alltoallBruck(c, bytes)
 			return
 		}
 		err = runPlanned(c, "alltoall", "alltoall_bruck", planSpec(bytes, nil, opt), opt)
@@ -185,7 +185,7 @@ func alltoallPairwise(c *mpi.Comm, sizeOf func(src, dst int) int64, opt Options)
 // round k every rank ships the blocks whose destination index has bit k
 // set to rank+2^k. Each round moves ~P/2 blocks, so it wins for small
 // messages where startup dominates.
-func alltoallBruck(c *mpi.Comm, bytes int64, opt Options) {
+func alltoallBruck(c *mpi.Comm, bytes int64) {
 	p, me := c.Size(), c.Rank()
 	if p <= 1 {
 		localCopy(c, bytes)

@@ -3,7 +3,6 @@ package collective
 import (
 	"pacc/internal/mpi"
 	"pacc/internal/power"
-	"pacc/internal/topology"
 )
 
 // ctrlTag returns a control-message tag above the pair-tag region of a
@@ -89,20 +88,10 @@ func bcastMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 	}
 
 	isLeader := leadC != nil
-	leaderSock := shmC.SocketOf(0)
 
 	// §V-B throttle schedule for the network phase.
 	if throttle {
-		switch {
-		case opt.CoreGranularThrottle && isLeader:
-			// Future-architecture mode: the leader core stays T0.
-		case opt.CoreGranularThrottle:
-			r.SetThrottle(opt.deepT())
-		case c.SocketOf(me) == leaderSock:
-			r.SetThrottle(opt.partialT())
-		default:
-			r.SetThrottle(opt.deepT())
-		}
+		networkThrottle(c, shmC, opt, isLeader)
 	}
 
 	// Network phase: scatter-allgather among node leaders.
@@ -220,5 +209,21 @@ func ringAllgather(c *mpi.Comm, chunk int64, block int) {
 	}
 }
 
-// leaderSocketOf reports the socket hosting the node leader (shm rank 0).
-func leaderSocketOf(shmC *mpi.Comm) topology.SocketID { return shmC.SocketOf(0) }
+// networkThrottle applies the §V-B T-state schedule for the network
+// phase of the shared-memory collectives: T-states are per socket, so
+// the node leader's socket — leader included — drops only to T4 while
+// the other socket drops to the deep T-state. With CoreGranularThrottle
+// the leader core stays at T0 and every other core goes deep.
+func networkThrottle(c, shmC *mpi.Comm, opt Options, isLeader bool) {
+	r := c.Owner()
+	switch {
+	case opt.CoreGranularThrottle && isLeader:
+		// Future-architecture mode: the leader core stays T0.
+	case opt.CoreGranularThrottle:
+		r.SetThrottle(opt.deepT())
+	case c.SocketOf(c.Rank()) == shmC.SocketOf(0):
+		r.SetThrottle(power.T4)
+	default:
+		r.SetThrottle(opt.deepT())
+	}
+}

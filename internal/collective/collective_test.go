@@ -371,17 +371,6 @@ func TestReducePowerOrdering(t *testing.T) {
 	}
 }
 
-func TestReduceBinomial(t *testing.T) {
-	done := 0
-	run(t, cfg32x8(), func(r *mpi.Rank) {
-		ReduceBinomial(mpi.CommWorld(r), 0, 8<<10, Options{})
-		done++
-	})
-	if done != 32 {
-		t.Fatalf("%d finished", done)
-	}
-}
-
 func TestAllgatherVariants(t *testing.T) {
 	for name, f := range map[string]func(*mpi.Comm, int64, Options) error{
 		"mc":   Allgather,
@@ -637,25 +626,5 @@ func TestPowerThresholdPassthrough(t *testing.T) {
 	big := int64(DefaultPowerThreshold) * 4
 	if a, b := elapsed(NoPower, big), elapsed(Proposed, big); a == b {
 		t.Fatalf("above threshold Proposed should differ from NoPower (both %v)", a)
-	}
-}
-
-// TestPowerThresholdOverride: a negative threshold forces the scheme at
-// any size; an explicit threshold moves the cutoff.
-func TestPowerThresholdOverride(t *testing.T) {
-	elapsed := func(opt Options) simtime.Duration {
-		d, _ := run(t, cfg32x8(), func(r *mpi.Rank) {
-			Bcast(mpi.CommWorld(r), 0, 1024, opt)
-		})
-		return d
-	}
-	def := elapsed(Options{})
-	forced := elapsed(Options{Power: Proposed, PowerThreshold: -1})
-	if forced == def {
-		t.Fatal("forced power scheme at 1KB should differ from default")
-	}
-	raised := elapsed(Options{Power: Proposed, PowerThreshold: 1 << 20})
-	if raised != def {
-		t.Fatal("raised threshold should pass through at 1KB")
 	}
 }

@@ -24,22 +24,9 @@ func checkRoot(op string, root, size int) error {
 	return nil
 }
 
-// checkSizeFn validates a per-rank size function: non-nil with no
-// negative entries. Zero-size blocks are legal — a rank may contribute
-// or receive nothing.
-func checkSizeFn(op string, size int, sizeOf func(rank int) int64) error {
-	if sizeOf == nil {
-		return fmt.Errorf("collective: %s: nil size function", op)
-	}
-	for r := 0; r < size; r++ {
-		if b := sizeOf(r); b < 0 {
-			return fmt.Errorf("collective: %s: negative size %d for rank %d", op, b, r)
-		}
-	}
-	return nil
-}
-
-// checkSizeMatrix validates a per-pair size function the same way.
+// checkSizeMatrix validates a per-pair size function: non-nil with no
+// negative entries. Zero-size blocks are legal — a rank may send or
+// receive nothing.
 func checkSizeMatrix(op string, size int, sizeOf func(src, dst int) int64) error {
 	if sizeOf == nil {
 		return fmt.Errorf("collective: %s: nil size function", op)

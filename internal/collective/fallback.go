@@ -36,12 +36,12 @@ func agreeOnFallback(c *mpi.Comm, block int) bool {
 	for mask := 1; mask < n; mask <<= 1 {
 		if me < mask {
 			if peer := me + mask; peer < n {
-				c.SendValue(peer, 0, ctrlTag(block, (1<<13)+peer), verdict)
+				c.SendValues(peer, 0, ctrlTag(block, (1<<13)+peer), verdict)
 			}
 		} else if me < mask<<1 {
-			v, err := c.RecvValue(me-mask, 0, ctrlTag(block, (1<<13)+me))
+			vs, err := c.RecvValues(me-mask, 0, ctrlTag(block, (1<<13)+me), 1)
 			if err == nil {
-				verdict = v
+				verdict = vs[0]
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func allreduceSum(c *mpi.Comm, bytes int64, a redVal, opt Options) redVal {
 			if err == nil {
 				sum = sum.add(x)
 			}
-			reduceOp(c, bytes, opt)
+			reduceOp(c, bytes)
 			sum = corruptRed(r, sum)
 		}
 	})
@@ -145,9 +145,9 @@ func allreduceSum(c *mpi.Comm, bytes int64, a redVal, opt Options) redVal {
 					map[string]any{"links": r.World().Fabric().DegradedLinks()})
 			}
 			if useRing {
-				sum = ringSum(leadC, c, block, bytes, sum, opt)
+				sum = ringSum(leadC, c, block, bytes, sum)
 			} else {
-				sum = rdSum(leadC, c, block, bytes, sum, opt)
+				sum = rdSum(leadC, c, block, bytes, sum)
 			}
 			sp.End()
 		})
@@ -174,7 +174,7 @@ func allreduceSum(c *mpi.Comm, bytes int64, a redVal, opt Options) redVal {
 // rdSum runs recursive doubling over lc (power-of-two size): log p rounds
 // of pairwise exchange, every leader's link active every round — the
 // fastest schedule on a healthy fabric.
-func rdSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal, opt Options) redVal {
+func rdSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal) redVal {
 	n, me := lc.Size(), lc.Rank()
 	r := c.Owner()
 	for mask := 1; mask < n; mask <<= 1 {
@@ -188,7 +188,7 @@ func rdSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal, opt Opti
 		if ls, err := lc.TakeWires(peer, tag, laneCount(v.checked)); err == nil {
 			v = v.add(redOf(ls, v.checked))
 		}
-		reduceOp(c, bytes, opt)
+		reduceOp(c, bytes)
 		v = corruptRed(r, v)
 	}
 	return v
@@ -198,7 +198,7 @@ func rdSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal, opt Opti
 // total back around: 2(p-1) sequential hops, but each hop occupies only
 // one uplink/downlink pair, so no transfer shares a degraded link with
 // another — the contention-minimal fallback shape.
-func ringSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal, opt Options) redVal {
+func ringSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal) redVal {
 	p, me := lc.Size(), lc.Rank()
 	r := c.Owner()
 	// Reduce: partial sums flow p-1 → p-2 → … → 0.
@@ -207,7 +207,7 @@ func ringSum(lc *mpi.Comm, c *mpi.Comm, block int, bytes int64, v redVal, opt Op
 		if err == nil {
 			v = v.add(x)
 		}
-		reduceOp(c, bytes, opt)
+		reduceOp(c, bytes)
 		v = corruptRed(r, v)
 	}
 	if me > 0 {

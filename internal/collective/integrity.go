@@ -196,9 +196,9 @@ func AllreduceSumChecked(c *mpi.Comm, bytes int64, v float64, opt Options) (floa
 // allreduceSumChainChecked is one attempt of the checked chain allreduce:
 // the chain schedule of allreduceSumChain carrying a checksum lane, with
 // the verification fold at the end.
-func allreduceSumChainChecked(c *mpi.Comm, op string, bytes int64, v float64, opt Options) (float64, error) {
+func allreduceSumChainChecked(c *mpi.Comm, op string, bytes int64, v float64) (float64, error) {
 	verifyCharge(c.Owner(), bytes)
-	out, err := allreduceSumChainRed(c, bytes, redVal{v: v, chk: v, checked: true}, opt)
+	out, err := allreduceSumChainRed(c, bytes, redVal{v: v, chk: v, checked: true})
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +224,7 @@ func AllreduceSumFTChecked(c *mpi.Comm, bytes int64, v float64, opt Options) (fl
 			if power {
 				cc.Owner().ScaleDown()
 			}
-			sum, roundErr = allreduceSumChainChecked(cc, "allreduce_ft_checked", bytes, v, opt)
+			sum, roundErr = allreduceSumChainChecked(cc, "allreduce_ft_checked", bytes, v)
 			if power {
 				cc.Owner().ScaleUp()
 			}

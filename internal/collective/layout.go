@@ -7,19 +7,21 @@ import (
 	"pacc/internal/topology"
 )
 
-// commLayout is the node/socket structure of a communicator, precomputed
-// once per collective call.
-type commLayout struct {
+// layout is the node/socket structure of a communicator, precomputed
+// once per collective call (imperative path) or plan build (builders).
+type layout struct {
 	nodes     []int       // node ids in first-appearance order
 	idxOfNode map[int]int // node id -> index into nodes
 	all       [][]int     // per node index: comm ranks on that node, ascending
 	a, b      [][]int     // per node index: comm ranks on socket A / B, ascending
 }
 
-func layoutOf(c *mpi.Comm) *commLayout {
-	l := &commLayout{idxOfNode: map[int]int{}}
-	for cr := 0; cr < c.Size(); cr++ {
-		n := c.NodeOf(cr)
+// newLayout groups comm ranks 0..p-1 by the node and socket the two
+// accessors report.
+func newLayout(p int, nodeOf func(cr int) int, onSocketA func(cr int) bool) *layout {
+	l := &layout{idxOfNode: map[int]int{}}
+	for cr := 0; cr < p; cr++ {
+		n := nodeOf(cr)
 		idx, ok := l.idxOfNode[n]
 		if !ok {
 			idx = len(l.nodes)
@@ -30,7 +32,7 @@ func layoutOf(c *mpi.Comm) *commLayout {
 			l.b = append(l.b, nil)
 		}
 		l.all[idx] = append(l.all[idx], cr)
-		if c.SocketOf(cr) == topology.SocketA {
+		if onSocketA(cr) {
 			l.a[idx] = append(l.a[idx], cr)
 		} else {
 			l.b[idx] = append(l.b[idx], cr)
@@ -39,8 +41,14 @@ func layoutOf(c *mpi.Comm) *commLayout {
 	return l
 }
 
+// layoutOf reads a live communicator's layout straight from its
+// placement.
+func layoutOf(c *mpi.Comm) *layout {
+	return newLayout(c.Size(), c.NodeOf, func(cr int) bool { return c.SocketOf(cr) == topology.SocketA })
+}
+
 // numNodes returns the number of distinct nodes in the communicator.
-func (l *commLayout) numNodes() int { return len(l.nodes) }
+func (l *layout) numNodes() int { return len(l.nodes) }
 
 // indexIn returns the position of cr within group, or -1.
 func indexIn(group []int, cr int) int {

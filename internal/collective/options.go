@@ -52,15 +52,16 @@ func (m PowerMode) String() string {
 	}
 }
 
-// Options tunes one collective call.
+// Options tunes one collective call. The paper's remaining constants
+// are fixed rather than tunable: the §V-B leader-socket T-state (T4),
+// the local reduction rate (plan.ReduceRate) and the message size below
+// which power-aware calls pass through at full speed
+// (DefaultPowerThreshold).
 type Options struct {
 	// Power selects the power scheme (default NoPower).
 	Power PowerMode
 	// Trace, when non-nil, receives this rank's per-phase timings.
 	Trace *Trace
-	// ReduceBytesPerSec is the local reduction rate at full speed for
-	// Reduce/Allreduce (combining two buffers). Zero selects 3 GB/s.
-	ReduceBytesPerSec float64
 	// CoreGranularThrottle enables the ablation of §V-B/VI-B: a
 	// future architecture that throttles per core rather than per
 	// socket, keeping the leader core at T0 and all other cores at T7
@@ -69,17 +70,6 @@ type Options struct {
 	// DeepThrottle overrides the T-state used for cores with no work
 	// during a phase (the paper uses T7). Zero selects T7.
 	DeepThrottle power.TState
-	// PartialThrottle overrides the T-state of the leader socket during
-	// the network phase of shared-memory collectives (the paper uses
-	// T4). Zero selects T4.
-	PartialThrottle power.TState
-	// PowerThreshold is the per-rank message size below which the
-	// power-aware schemes pass through to the default algorithm at full
-	// speed: for latency-bound collectives the DVFS and throttle
-	// transition costs exceed any possible savings (the paper's methods
-	// target the medium/large messages of Figures 7-8). Zero selects
-	// DefaultPowerThreshold; negative applies the scheme at any size.
-	PowerThreshold int64
 	// Plan selects the schedule builder for plan-backed collectives:
 	// empty runs the entry point's canonical schedule, PlanAuto selects
 	// the cheapest registered candidate of the collective's family under
@@ -97,11 +87,6 @@ type Options struct {
 	// scalar checked entry points (AllreduceSumChecked and friends) carry
 	// verification unconditionally and ignore the field.
 	Verify bool
-	// PlanStepSpans emits one observability span per executed plan step
-	// in addition to the phase spans — a debugging aid. Off by default,
-	// which keeps plan-executed collectives trace-identical to their
-	// imperative ancestors.
-	PlanStepSpans bool
 	// refImperative forces the original imperative implementation of a
 	// plan-backed entry point. Unexported: the differential tests use it
 	// to prove the plan path bit-identical to the reference.
@@ -123,20 +108,16 @@ const (
 	SelectByEnergy
 )
 
-// DefaultPowerThreshold is the passthrough cutoff used when
-// Options.PowerThreshold is zero.
+// DefaultPowerThreshold is the per-rank message size below which the
+// power-aware schemes pass through to the default algorithm at full
+// speed: for latency-bound collectives the DVFS and throttle transition
+// costs exceed any possible savings (the paper's methods target the
+// medium/large messages of Figures 7-8).
 const DefaultPowerThreshold = 16 << 10
 
 // effectivePower resolves the scheme for a call moving bytes per rank.
 func (o Options) effectivePower(bytes int64) PowerMode {
-	if o.Power == NoPower {
-		return NoPower
-	}
-	th := o.PowerThreshold
-	if th == 0 {
-		th = DefaultPowerThreshold
-	}
-	if th > 0 && bytes < th {
+	if bytes < DefaultPowerThreshold {
 		return NoPower
 	}
 	return o.Power
@@ -148,21 +129,6 @@ func (o Options) deepT() power.TState {
 		return power.T7
 	}
 	return o.DeepThrottle
-}
-
-// partialT returns the T-state for the leader socket.
-func (o Options) partialT() power.TState {
-	if o.PartialThrottle == power.T0 {
-		return power.T4
-	}
-	return o.PartialThrottle
-}
-
-func (o Options) reduceRate() float64 {
-	if o.ReduceBytesPerSec > 0 {
-		return o.ReduceBytesPerSec
-	}
-	return 3e9
 }
 
 // Trace accumulates per-phase wall-clock durations observed by one rank.

@@ -389,7 +389,7 @@ func buildAlltoallPhased(v plan.View, s plan.Spec) (*plan.Plan, error) {
 		bracketDVFS(pl, s)
 		return pl, nil
 	}
-	lay := viewLayoutOf(v)
+	lay := newLayout(p, func(cr int) int { return v.NodeOf[cr] }, func(cr int) bool { return v.SocketA[cr] })
 	n := lay.numNodes()
 	for i := 0; i < n; i++ {
 		if len(lay.a[i]) != len(lay.b[i]) || len(lay.a[i]) == 0 {
@@ -521,36 +521,3 @@ func buildAlltoallPhased(v plan.View, s plan.Spec) (*plan.Plan, error) {
 	bracketDVFS(pl, s)
 	return pl, nil
 }
-
-// viewLayout is commLayout computed from a plan.View instead of a live
-// communicator, for use inside builders.
-type viewLayout struct {
-	nodes     []int
-	idxOfNode map[int]int
-	all, a, b [][]int
-}
-
-func viewLayoutOf(v plan.View) *viewLayout {
-	l := &viewLayout{idxOfNode: map[int]int{}}
-	for cr := 0; cr < v.P; cr++ {
-		n := v.NodeOf[cr]
-		idx, ok := l.idxOfNode[n]
-		if !ok {
-			idx = len(l.nodes)
-			l.idxOfNode[n] = idx
-			l.nodes = append(l.nodes, n)
-			l.all = append(l.all, nil)
-			l.a = append(l.a, nil)
-			l.b = append(l.b, nil)
-		}
-		l.all[idx] = append(l.all[idx], cr)
-		if v.SocketA[cr] {
-			l.a[idx] = append(l.a[idx], cr)
-		} else {
-			l.b[idx] = append(l.b[idx], cr)
-		}
-	}
-	return l
-}
-
-func (l *viewLayout) numNodes() int { return len(l.nodes) }

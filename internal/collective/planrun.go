@@ -157,12 +157,7 @@ func selectCached(c *mpi.Comm, family string, spec plan.Spec, objective PlanObje
 
 // execPlan runs a built plan with the caller's options.
 func execPlan(c *mpi.Comm, p *plan.Plan, opt Options) error {
-	return plan.Execute(p, plan.Env{
-		Comm:              c,
-		ReduceBytesPerSec: opt.reduceRate(),
-		OnPhase:           opt.Trace.Add,
-		StepSpans:         opt.PlanStepSpans,
-	})
+	return plan.Execute(p, plan.Env{Comm: c, OnPhase: opt.Trace.Add})
 }
 
 // SelectPlanName prices every registered candidate of a collective

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"pacc/internal/mpi"
+	"pacc/internal/plan"
 	"pacc/internal/power"
 	"pacc/internal/simtime"
 )
@@ -33,31 +34,11 @@ func Reduce(c *mpi.Comm, root int, bytes int64, opt Options) error {
 	return nil
 }
 
-// ReduceBinomial reduces with the flat binomial tree, ignoring node
-// topology.
-func ReduceBinomial(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("reduce_binomial", bytes); err != nil {
-		return err
-	}
-	if err := checkRoot("reduce_binomial", root, c.Size()); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "reduce_binomial", bytes, func() {
-		if opt.Power == FreqScaling || opt.Power == Proposed {
-			withFreqScaling(c, func() { binomialReduce(c, root, bytes, opt, c.TagBlock()) })
-			return
-		}
-		binomialReduce(c, root, bytes, opt, c.TagBlock())
-	})
-	return nil
-}
-
 // reduceOp charges the cost of merging one buffer of the given size into
 // the accumulator — streaming work, so it stretches with the copy
 // slowdown rather than the full clock ratio.
-func reduceOp(c *mpi.Comm, bytes int64, opt Options) {
-	c.Owner().StreamCompute(simtime.DurationOf(float64(bytes) / opt.reduceRate()))
+func reduceOp(c *mpi.Comm, bytes int64) {
+	c.Owner().StreamCompute(simtime.DurationOf(float64(bytes) / plan.ReduceRate))
 }
 
 func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
@@ -69,7 +50,6 @@ func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 	shmC, leadC := c.SplitByNode()
 	block := c.TagBlock()
 	isLeader := leadC != nil
-	leaderSock := leaderSocketOf(shmC)
 
 	// Intra-node phase: non-leaders write their contribution into the
 	// shared region and notify; the leader merges them in.
@@ -81,22 +61,14 @@ func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 			for i := 1; i < shmC.Size(); i++ {
 				shmC.Recv(i, 0, ctrlTag(block, i))
 				localCopy(c, bytes)
-				reduceOp(c, bytes, opt)
+				reduceOp(c, bytes)
 			}
 		}
 	})
 
 	// §V-B throttle schedule for the network phase.
 	if throttle {
-		switch {
-		case opt.CoreGranularThrottle && isLeader:
-		case opt.CoreGranularThrottle:
-			r.SetThrottle(opt.deepT())
-		case c.SocketOf(me) == leaderSock:
-			r.SetThrottle(opt.partialT())
-		default:
-			r.SetThrottle(opt.deepT())
-		}
+		networkThrottle(c, shmC, opt, isLeader)
 	}
 
 	// Network phase: binomial reduce across leaders to the root's
@@ -112,7 +84,7 @@ func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 					break
 				}
 			}
-			binomialReduce(leadC, lr, bytes, opt, leadC.TagBlock())
+			binomialReduce(leadC, lr, bytes, leadC.TagBlock())
 		}
 	})
 	if throttle && isLeader {
@@ -143,7 +115,7 @@ func reduceMC(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 
 // binomialReduce runs the classic binomial reduction tree: in round k,
 // ranks with bit k set send their partial result toward the root.
-func binomialReduce(c *mpi.Comm, root int, bytes int64, opt Options, block int) {
+func binomialReduce(c *mpi.Comm, root int, bytes int64, block int) {
 	n, me := c.Size(), c.Rank()
 	if n == 1 {
 		return
@@ -159,7 +131,7 @@ func binomialReduce(c *mpi.Comm, root int, bytes int64, opt Options, block int) 
 		if peer < n {
 			child := (peer + root) % n
 			c.Recv(child, bytes, c.PairTag(block, child, me))
-			reduceOp(c, bytes, opt)
+			reduceOp(c, bytes)
 		}
 	}
 }

@@ -148,15 +148,15 @@ func RunResilient(c *mpi.Comm, body func(*mpi.Comm) error) (*mpi.Comm, error) {
 // allreduceSumChain is one attempt of the value-carrying chain allreduce:
 // partial sums flow down the chain to rank 0, the total flows back up.
 // Any failure surfaces as a structured error for the resilient runner.
-func allreduceSumChain(c *mpi.Comm, bytes int64, v float64, opt Options) (float64, error) {
-	out, err := allreduceSumChainRed(c, bytes, redVal{v: v}, opt)
+func allreduceSumChain(c *mpi.Comm, bytes int64, v float64) (float64, error) {
+	out, err := allreduceSumChainRed(c, bytes, redVal{v: v})
 	return out.v, err
 }
 
 // allreduceSumChainRed is the chain schedule over redVal: one lane for
 // the historical unchecked call, two for the checked variant. Accumulator
 // writes and relay buffers pass through the memory-corruption injector.
-func allreduceSumChainRed(c *mpi.Comm, bytes int64, a redVal, opt Options) (redVal, error) {
+func allreduceSumChainRed(c *mpi.Comm, bytes int64, a redVal) (redVal, error) {
 	block := c.TagBlock()
 	p, me := c.Size(), c.Rank()
 	r := c.Owner()
@@ -169,7 +169,7 @@ func allreduceSumChainRed(c *mpi.Comm, bytes int64, a redVal, opt Options) (redV
 		if err != nil {
 			return redVal{checked: a.checked}, err
 		}
-		reduceOp(c, bytes, opt)
+		reduceOp(c, bytes)
 		sum = corruptRed(r, sum.add(x))
 	}
 	if me > 0 {
@@ -208,7 +208,7 @@ func AllreduceSumFT(c *mpi.Comm, bytes int64, v float64, opt Options) (float64, 
 			if power {
 				cc.Owner().ScaleDown()
 			}
-			sum, roundErr = allreduceSumChain(cc, bytes, v, opt)
+			sum, roundErr = allreduceSumChain(cc, bytes, v)
 			if power {
 				// Runs even after a failed chain; if this rank dies before
 				// reaching it, RunResilient restores the survivors.

@@ -16,10 +16,10 @@ import (
 // The hierarchy is root -> rack leaders -> node leaders -> local ranks;
 // the last hop uses the shared-memory region like the §V-B collectives.
 
-// rackLayout extends commLayout with the rack grouping from the fabric
+// rackLayout extends layout with the rack grouping from the fabric
 // configuration.
 type rackLayout struct {
-	lay *commLayout
+	lay *layout
 	// rackOfNodeIdx maps a node index (in lay) to its rack id.
 	rackOfNodeIdx []int
 	// racks lists rack ids in first-appearance order; nodeIdxsOf lists

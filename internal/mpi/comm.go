@@ -253,37 +253,6 @@ func (c *Comm) Exchange(sendTo int, sendBytes int64, sendTag int, recvFrom int, 
 	return rerr
 }
 
-// SendValue is SendValue addressed by communicator rank; the wait is
-// failure-aware like every communicator operation.
-func (c *Comm) SendValue(dst int, bytes int64, tag int, v float64) error {
-	q := c.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	c.r.world.putWire(c.r.id, c.group[dst], tag, v)
-	q.Wait()
-	return c.r.world.reapReq(q)
-}
-
-// RecvValue is RecvValue addressed by communicator rank (failure-aware as
-// in SendValue).
-func (c *Comm) RecvValue(src int, bytes int64, tag int) (float64, error) {
-	q := c.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return 0, q.Err()
-	}
-	q.Wait()
-	if err := c.r.world.reapReq(q); err != nil {
-		return 0, err
-	}
-	v, ok := c.r.world.takeWire(c.group[src], c.r.id, tag)
-	if !ok {
-		return 0, fmt.Errorf("mpi: rank %d: no wire value from %d tag %d",
-			c.r.id, c.group[src], tag)
-	}
-	return v, nil
-}
-
 // NodeOf returns the node hosting a communicator rank.
 func (c *Comm) NodeOf(commRank int) int {
 	return c.r.world.place.NodeOf(c.group[commRank])

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"fmt"
-
 	"pacc/internal/fault"
 	"pacc/internal/obs"
 )
@@ -117,45 +115,6 @@ func (w *World) takeWire(src, dst, tag int) (float64, bool) {
 		w.wire[k] = q[1:]
 	}
 	return v, true
-}
-
-// SendValue is Send with a reduction value riding the message through the
-// wire board; the matching RecvValue picks it up. Collectives use the
-// pair to verify data correctness end-to-end (the simulated messages
-// themselves carry only sizes).
-func (r *Rank) SendValue(dst int, bytes int64, tag int, v float64) error {
-	q := r.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	r.world.putWire(r.id, dst, tag, v)
-	q.Wait()
-	return q.Err()
-}
-
-// RecvValue is Recv returning the value the matching SendValue attached.
-func (r *Rank) RecvValue(src int, bytes int64, tag int) (float64, error) {
-	q := r.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return 0, q.Err()
-	}
-	q.Wait()
-	if err := q.Err(); err != nil {
-		return 0, err
-	}
-	v, ok := r.world.takeWire(src, r.id, tag)
-	if !ok {
-		return 0, fmt.Errorf("mpi: rank %d: no wire value from %d tag %d", r.id, src, tag)
-	}
-	return v, nil
-}
-
-// TakeWire dequeues the wire-board value of a message already received
-// from global rank src with the given tag (see SendValue/RecvValue).
-// Symmetric exchanges that overlap Isend/Irecv use it to pick the value
-// up after WaitAll instead of through RecvValue.
-func (r *Rank) TakeWire(src, tag int) (float64, bool) {
-	return r.world.takeWire(src, r.id, tag)
 }
 
 // Degraded reports whether the fabric currently has a degraded or down

@@ -249,33 +249,42 @@ func TestTransitionDelayInjected(t *testing.T) {
 	}
 }
 
-// TestWireBoard: SendValue/RecvValue carry values FIFO per (src,dst,tag)
-// lane across the simulated schedule.
+// TestWireBoard: Comm.SendValues/RecvValues carry values FIFO per
+// (src,dst,tag) lane across the simulated schedule, at one and two
+// lanes per message.
 func TestWireBoard(t *testing.T) {
-	w := mustWorld(t, testConfig())
-	w.Launch(func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			for i, v := range []float64{2.5, -1, 7} {
-				if err := r.SendValue(2, 1024, 10+i, v); err != nil {
-					t.Error(err)
+	msgs := [][]float64{{2.5, 0.5}, {-1, 3}, {7, -7}}
+	for _, lanes := range []int{1, 2} {
+		w := mustWorld(t, testConfig())
+		w.Launch(func(r *Rank) {
+			c := CommWorld(r)
+			switch r.ID() {
+			case 0:
+				for i, vs := range msgs {
+					if err := c.SendValues(2, 1024, 10+i, vs[:lanes]...); err != nil {
+						t.Error(err)
+					}
+				}
+			case 2:
+				for i, want := range msgs {
+					got, err := c.RecvValues(0, 1024, 10+i, lanes)
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					for l := 0; l < lanes; l++ {
+						if got[l] != want[l] {
+							t.Errorf("lanes=%d message %d lane %d = %g, want %g", lanes, i, l, got[l], want[l])
+						}
+					}
+				}
+				if _, err := c.TakeWires(0, 99, 1); err == nil {
+					t.Error("TakeWires invented a value")
 				}
 			}
-		case 2:
-			for i, want := range []float64{2.5, -1, 7} {
-				got, err := r.RecvValue(0, 1024, 10+i)
-				if err != nil {
-					t.Error(err)
-				} else if got != want {
-					t.Errorf("value %d = %g, want %g", i, got, want)
-				}
-			}
-			if _, ok := r.TakeWire(0, 99); ok {
-				t.Error("TakeWire invented a value")
-			}
+		})
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if _, err := w.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

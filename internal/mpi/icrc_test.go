@@ -12,47 +12,58 @@ import (
 
 // TestCorruptionRetransmitDelivers: an in-flight bit flip never reaches
 // the application — the ICRC rejects the payload, the sender retransmits
-// under the budget, and the value arrives intact. Corruption costs time,
-// and the run replays identically.
+// under the budget, and the values arrive intact on every lane.
+// Corruption costs time, and the run replays identically.
 func TestCorruptionRetransmitDelivers(t *testing.T) {
 	const bytes = 64 << 10 // rendezvous, so the data leg is in play
-	elapsedWith := func(spec *fault.Spec) (simtime.Duration, float64) {
-		cfg := testConfig()
-		cfg.Fault = spec
-		w := mustWorld(t, cfg)
-		var got float64
-		w.Launch(func(r *Rank) {
-			switch r.ID() {
-			case 0:
-				if err := r.SendValue(2, bytes, 1, 42.5); err != nil {
-					t.Error(err)
+	sent := []float64{42.5, -3}
+	for _, lanes := range []int{1, 2} {
+		elapsedWith := func(spec *fault.Spec) (simtime.Duration, []float64) {
+			cfg := testConfig()
+			cfg.Fault = spec
+			w := mustWorld(t, cfg)
+			var got []float64
+			w.Launch(func(r *Rank) {
+				c := CommWorld(r)
+				switch r.ID() {
+				case 0:
+					if err := c.SendValues(2, bytes, 1, sent[:lanes]...); err != nil {
+						t.Error(err)
+					}
+				case 2:
+					vs, err := c.RecvValues(0, bytes, 1, lanes)
+					if err != nil {
+						t.Error(err)
+					}
+					got = append(got, vs...)
 				}
-			case 2:
-				v, err := r.RecvValue(0, bytes, 1)
-				if err != nil {
-					t.Error(err)
-				}
-				got = v
+			})
+			d, err := w.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		d, err := w.Run()
-		if err != nil {
-			t.Fatal(err)
+			return d, got
 		}
-		return d, got
-	}
-	clean, v0 := elapsedWith(nil)
-	spec := &fault.Spec{Seed: 4, DataCorrupt: 0.9, RetryBudget: 30,
-		AckTimeout: 50 * simtime.Microsecond}
-	slow, v1 := elapsedWith(spec)
-	if v0 != 42.5 || v1 != 42.5 {
-		t.Fatalf("payload changed end-to-end: %v / %v, want 42.5", v0, v1)
-	}
-	if slow <= clean {
-		t.Fatalf("90%% data corruption did not slow the transfer: %v vs clean %v", slow, clean)
-	}
-	if again, _ := elapsedWith(spec); again != slow {
-		t.Fatalf("same spec+seed gave %v then %v", slow, again)
+		clean, v0 := elapsedWith(nil)
+		spec := &fault.Spec{Seed: 4, DataCorrupt: 0.9, RetryBudget: 30,
+			AckTimeout: 50 * simtime.Microsecond}
+		slow, v1 := elapsedWith(spec)
+		for _, got := range [][]float64{v0, v1} {
+			if len(got) != lanes {
+				t.Fatalf("lanes=%d: received %v", lanes, got)
+			}
+			for l := range got {
+				if got[l] != sent[l] {
+					t.Fatalf("lanes=%d: payload changed end-to-end: %v, want %v", lanes, got, sent[:lanes])
+				}
+			}
+		}
+		if slow <= clean {
+			t.Fatalf("lanes=%d: 90%% data corruption did not slow the transfer: %v vs clean %v", lanes, slow, clean)
+		}
+		if again, _ := elapsedWith(spec); again != slow {
+			t.Fatalf("lanes=%d: same spec+seed gave %v then %v", lanes, slow, again)
+		}
 	}
 }
 
@@ -119,14 +130,15 @@ func TestSendRecvValuesLanes(t *testing.T) {
 		lanes := lanes
 		w := mustWorld(t, testConfig())
 		w.Launch(func(r *Rank) {
+			c := CommWorld(r)
 			switch r.ID() {
 			case 0:
 				vs := []float64{3.25, -8}[:lanes]
-				if err := r.SendValues(2, 2048, 5, vs...); err != nil {
+				if err := c.SendValues(2, 2048, 5, vs...); err != nil {
 					t.Error(err)
 				}
 			case 2:
-				got, err := r.RecvValues(0, 2048, 5, lanes)
+				got, err := c.RecvValues(0, 2048, 5, lanes)
 				if err != nil {
 					t.Fatal(err)
 				}

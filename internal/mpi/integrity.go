@@ -64,36 +64,6 @@ func (w *World) tstateDepth(rank int) int {
 	return int(w.ranks[rank].core.Throttle())
 }
 
-// SendValues is SendValue carrying several payload lanes on one simulated
-// message; the matching RecvValues dequeues them in order. Checked (ABFT)
-// collectives ride a checksum shadow on a second lane without changing
-// the message schedule — one lane is exactly SendValue.
-func (r *Rank) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
-	q := r.Isend(dst, bytes, tag)
-	if q.Err() != nil {
-		return q.Err()
-	}
-	for _, v := range vs {
-		r.world.putWire(r.id, dst, tag, v)
-	}
-	q.Wait()
-	return r.world.reapReq(q)
-}
-
-// RecvValues is Recv returning the n lanes the matching SendValues
-// attached.
-func (r *Rank) RecvValues(src int, bytes int64, tag, n int) ([]float64, error) {
-	q := r.Irecv(src, bytes, tag)
-	if q.Err() != nil {
-		return nil, q.Err()
-	}
-	q.Wait()
-	if err := r.world.reapReq(q); err != nil {
-		return nil, err
-	}
-	return r.takeWires(src, tag, n)
-}
-
 // takeWires dequeues n wire-board lanes of an already-received message.
 // The returned slice aliases a per-rank scratch buffer and is valid only
 // until this rank's next lane pickup; every consumer folds the lanes
@@ -114,8 +84,13 @@ func (r *Rank) takeWires(src, tag, n int) ([]float64, error) {
 	return out, nil
 }
 
-// SendValues is Rank.SendValues addressed by communicator rank
-// (failure-aware like every communicator operation).
+// SendValues is Send with reduction values riding the message through
+// the wire board, one per payload lane; the matching RecvValues dequeues
+// them in order. Collectives use the lanes to verify data correctness
+// end-to-end (the simulated messages themselves carry only sizes), and
+// checked (ABFT) collectives ride a checksum shadow on a second lane
+// without changing the message schedule. Failure-aware like every
+// communicator operation.
 func (c *Comm) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
 	q := c.Isend(dst, bytes, tag)
 	if q.Err() != nil {
@@ -128,7 +103,8 @@ func (c *Comm) SendValues(dst int, bytes int64, tag int, vs ...float64) error {
 	return c.r.world.reapReq(q)
 }
 
-// RecvValues is Rank.RecvValues addressed by communicator rank.
+// RecvValues is Recv returning the n lanes the matching SendValues
+// attached.
 func (c *Comm) RecvValues(src int, bytes int64, tag, n int) ([]float64, error) {
 	q := c.Irecv(src, bytes, tag)
 	if q.Err() != nil {
@@ -142,8 +118,9 @@ func (c *Comm) RecvValues(src int, bytes int64, tag, n int) ([]float64, error) {
 }
 
 // TakeWires dequeues n wire-board lanes of a message already received
-// from communicator rank src (the multi-lane TakeWire, for overlapped
-// exchanges that complete through WaitAll).
+// from communicator rank src. Symmetric exchanges that overlap
+// Isend/Irecv use it to pick the lanes up after WaitAll instead of
+// through RecvValues.
 func (c *Comm) TakeWires(src, tag, n int) ([]float64, error) {
 	return c.r.takeWires(c.group[src], tag, n)
 }

@@ -39,8 +39,8 @@ type World struct {
 	// failure, not a bare hang, and wraps the first so errors.As can
 	// recover the typed IntegrityError.
 	retriesExhausted []*IntegrityError
-	// wire is the value side channel pairing SendValue payloads with
-	// RecvValue pickups (see fault.go).
+	// wire is the value side channel pairing Comm.SendValues lanes with
+	// their RecvValues/TakeWires pickups (see fault.go).
 	wire map[wireKey][]float64
 	// ft is the crash-stop failure machinery (nil until armed by a crash
 	// schedule or first use of the ULFM-style API; see crash.go). Nil

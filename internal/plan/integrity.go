@@ -3,7 +3,7 @@ package plan
 import "fmt"
 
 // DefaultVerifyBytesPerSec is the streaming rate charged by an OpVerify
-// step when the execution environment does not set one: an ABFT checksum
+// step and by the imperative checked collectives: an ABFT checksum
 // fold is a fused SIMD accumulate over already-resident data, so it runs
 // near memory stream bandwidth rather than at the reduction rate (which
 // pays for two operand streams and a writeback).

@@ -51,6 +51,21 @@ func (g Grid) Expand() []Request {
 	return out
 }
 
+// Cells returns the number of requests Expand would produce, counted
+// without expanding. It reports false, without overflowing, once the
+// count exceeds limit — so an untrusted grid can be bounded before it
+// is expanded.
+func (g Grid) Cells(limit int) (int, bool) {
+	n := 1
+	for _, k := range []int{len(g.Ops), len(g.Sizes), max(len(g.Modes), 1), max(len(g.Seeds), 1)} {
+		if k != 0 && n > limit/k {
+			return 0, false
+		}
+		n *= k
+	}
+	return n, true
+}
+
 // ParseSizes parses a comma-separated size list with K/M suffixes
 // (powers of two), e.g. "1K,64K,1M".
 func ParseSizes(src string) ([]int64, error) {

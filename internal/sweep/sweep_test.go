@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -86,6 +87,33 @@ func TestGridExpandDeterministic(t *testing.T) {
 	n := len(Grid{Ops: []string{"allreduce"}, Sizes: []int64{1024}, Procs: 8, PPN: 4}.Expand())
 	if n != 1 {
 		t.Fatalf("default mode/seed expansion = %d cells, want 1", n)
+	}
+}
+
+// TestGridCells: Cells counts what Expand would produce (defaults
+// included) and refuses, without overflowing, grids past the limit.
+func TestGridCells(t *testing.T) {
+	for _, g := range []Grid{
+		{Ops: []string{"allreduce", "bcast"}, Sizes: []int64{1024, 2048},
+			Modes: []string{"no-power", "proposed"}, Seeds: []uint64{1, 2, 3}},
+		{Ops: []string{"allreduce"}, Sizes: []int64{1024}},
+		{Sizes: []int64{1024}},
+	} {
+		n, ok := g.Cells(1 << 16)
+		if want := len(g.Expand()); !ok || n != want {
+			t.Errorf("Cells(%+v) = %d, %v; want %d", g, n, ok, want)
+		}
+		if want := len(g.Expand()); want > 0 {
+			if _, ok := g.Cells(want - 1); ok {
+				t.Errorf("Cells(%+v) accepted a limit below its %d cells", g, want)
+			}
+		}
+	}
+	// 2^16 entries per list: the product 2^64 wraps a 64-bit int.
+	const k = 1 << 16
+	huge := Grid{Ops: make([]string, k), Sizes: make([]int64, k), Modes: make([]string, k), Seeds: make([]uint64, k)}
+	if n, ok := huge.Cells(math.MaxInt); ok {
+		t.Fatalf("Cells accepted a 2^64-cell grid as %d", n)
 	}
 }
 

@@ -1,15 +1,13 @@
 // Package trace records per-core power-state timelines from a simulation
-// and exports them in the Chrome trace-event format (load the JSON in
-// chrome://tracing or https://ui.perfetto.dev to see, per core, when it
-// ran at which frequency and throttle level, and when it idled — the
-// phased schedules of the power-aware collectives become directly
-// visible).
+// and replays them into an observability bus, whose Chrome trace-event
+// export (load the JSON in chrome://tracing or https://ui.perfetto.dev)
+// shows, per core, when it ran at which frequency and throttle level and
+// when it idled — the phased schedules of the power-aware collectives
+// become directly visible.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"pacc/internal/obs"
@@ -58,19 +56,6 @@ func Attach(st *power.Station, coresPerNode int) *Recorder {
 	return r
 }
 
-// Detach removes the hooks and closes all open intervals at the current
-// time. Detaching twice is a no-op the second time.
-func (r *Recorder) Detach() {
-	for _, c := range r.station.Cores() {
-		c.SetRecorder(nil)
-	}
-	now := r.station.Now()
-	for id, sc := range r.open {
-		r.closeSpan(id, sc, now)
-	}
-	r.open = make(map[int]power.StateChange)
-}
-
 func (r *Recorder) onChange(core int, sc power.StateChange) {
 	if prev, ok := r.open[core]; ok && sc.At > prev.At {
 		r.closeSpan(core, prev, sc.At)
@@ -85,7 +70,8 @@ func (r *Recorder) closeSpan(core int, st power.StateChange, end simtime.Time) {
 	r.spans = append(r.spans, span{core: core, start: st.At, end: end, state: st})
 }
 
-// finish closes intervals still open at `now` without detaching.
+// snapshot returns the recorded spans plus the intervals still open at
+// `now`, sorted by core and start time.
 func (r *Recorder) snapshot(now simtime.Time) []span {
 	out := make([]span, len(r.spans))
 	copy(out, r.spans)
@@ -103,71 +89,12 @@ func (r *Recorder) snapshot(now simtime.Time) []span {
 	return out
 }
 
-// Spans reports how many closed intervals have been recorded so far.
-func (r *Recorder) Spans() int { return len(r.spans) }
-
-// chromeEvent is one entry of the Chrome trace-event JSON array.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 func stateName(sc power.StateChange) string {
 	act := "idle"
 	if sc.Busy {
 		act = "busy"
 	}
 	return fmt.Sprintf("%s %.1fGHz %v", act, sc.FreqGHz, sc.Throttle)
-}
-
-// WriteChromeTrace exports all recorded spans up to `now` as a Chrome
-// trace: one process per node, one thread per core, one complete event
-// per constant-state interval, with watts in the event args.
-func (r *Recorder) WriteChromeTrace(w io.Writer, now simtime.Time) error {
-	spans := r.snapshot(now)
-	events := make([]chromeEvent, 0, len(spans)+len(r.station.Cores()))
-	cores := r.station.Cores()
-	if len(cores) == 0 {
-		return json.NewEncoder(w).Encode(events)
-	}
-	model := cores[0].Model()
-	seen := map[int]bool{}
-	seenNode := map[int]bool{}
-	for _, sp := range spans {
-		node := sp.core / r.coresPerNode
-		if !seenNode[node] {
-			seenNode[node] = true
-			events = append(events, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: node,
-				Args: map[string]any{"name": fmt.Sprintf("node %d", node)},
-			})
-		}
-		if !seen[sp.core] {
-			seen[sp.core] = true
-			events = append(events, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: node, Tid: sp.core,
-				Args: map[string]any{"name": fmt.Sprintf("core %d", sp.core)},
-			})
-		}
-		events = append(events, chromeEvent{
-			Name: stateName(sp.state),
-			Ph:   "X",
-			Ts:   sp.start.Micros(),
-			Dur:  sp.end.Sub(sp.start).Micros(),
-			Pid:  node,
-			Tid:  sp.core,
-			Args: map[string]any{
-				"watts": model.CoreWatts(sp.state.FreqGHz, sp.state.Throttle, sp.state.Busy),
-			},
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
 }
 
 // ExportToBus replays all recorded power-state spans up to `now` into an

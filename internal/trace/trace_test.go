@@ -8,9 +8,29 @@ import (
 
 	"pacc/internal/collective"
 	"pacc/internal/mpi"
+	"pacc/internal/obs"
 	"pacc/internal/power"
 	"pacc/internal/simtime"
 )
+
+// exportEvents replays the recorder into b (a fresh bus when nil) and
+// returns the bus's Chrome-trace export decoded.
+func exportEvents(t *testing.T, rec *Recorder, b *obs.Bus, eng *simtime.Engine) []map[string]any {
+	t.Helper()
+	if b == nil {
+		b = obs.NewBus(eng)
+	}
+	rec.ExportToBus(b, eng.Now())
+	var buf bytes.Buffer
+	if err := b.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	return events
+}
 
 func TestRecorderSpans(t *testing.T) {
 	eng := simtime.NewEngine()
@@ -31,7 +51,7 @@ func TestRecorderSpans(t *testing.T) {
 	}
 	// Core 0: initial idle (zero-length at t=0 is dropped), busy@fmax,
 	// busy@fmin, busy@fmin/T7 — three closed spans.
-	if got := rec.Spans(); got != 3 {
+	if got := len(rec.spans); got != 3 {
 		t.Fatalf("spans = %d, want 3", got)
 	}
 	spans := rec.snapshot(eng.Now())
@@ -65,14 +85,7 @@ func TestChromeTraceExport(t *testing.T) {
 	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, w.Engine().Now()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
+	events := exportEvents(t, rec, nil, w.Engine())
 	if len(events) < 50 {
 		t.Fatalf("only %d events; a proposed alltoall should produce many state changes", len(events))
 	}
@@ -105,10 +118,10 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 }
 
-func TestDetachClosesAndUnhooks(t *testing.T) {
+func TestAttachZeroCoresPerNode(t *testing.T) {
 	eng := simtime.NewEngine()
 	st := power.NewStation(eng, power.DefaultModel(), 1, 1)
-	rec := Attach(st, 1)
+	rec := Attach(st, 0) // must not divide by zero on export
 	eng.Spawn("driver", func(p *simtime.Proc) {
 		st.Core(0).SetBusy(true)
 		p.Sleep(simtime.Millisecond)
@@ -116,23 +129,10 @@ func TestDetachClosesAndUnhooks(t *testing.T) {
 	if _, err := eng.Run(simtime.Infinity); err != nil {
 		t.Fatal(err)
 	}
-	rec.Detach()
-	n := rec.Spans()
-	// Further changes must not be recorded.
-	st.Core(0).SetBusy(false)
-	st.Core(0).SetBusy(true)
-	if rec.Spans() != n {
-		t.Fatal("recorder still hooked after Detach")
-	}
-}
-
-func TestAttachZeroCoresPerNode(t *testing.T) {
-	eng := simtime.NewEngine()
-	st := power.NewStation(eng, power.DefaultModel(), 1, 1)
-	rec := Attach(st, 0) // must not divide by zero on export
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, eng.Now()); err != nil {
-		t.Fatal(err)
+	for _, ev := range exportEvents(t, rec, nil, eng) {
+		if ev["pid"].(float64) != 0 {
+			t.Fatalf("core 0 exported outside node 0: %v", ev)
+		}
 	}
 }
 
@@ -140,44 +140,8 @@ func TestExportZeroCoreStation(t *testing.T) {
 	eng := simtime.NewEngine()
 	st := power.NewStation(eng, power.DefaultModel(), 0, 0)
 	rec := Attach(st, 1)
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, eng.Now()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if len(events) != 0 {
+	if events := exportEvents(t, rec, nil, eng); len(events) != 0 {
 		t.Fatalf("zero-core export has %d events, want 0", len(events))
-	}
-}
-
-func TestDetachClosesOpenIntervalsAtNow(t *testing.T) {
-	eng := simtime.NewEngine()
-	st := power.NewStation(eng, power.DefaultModel(), 1, 1)
-	rec := Attach(st, 1)
-	eng.Spawn("driver", func(p *simtime.Proc) {
-		st.Core(0).SetBusy(true)
-		p.Sleep(simtime.Millisecond)
-	})
-	if _, err := eng.Run(simtime.Infinity); err != nil {
-		t.Fatal(err)
-	}
-	// The busy interval opened at t=0 is still open; Detach must close it
-	// at the current time, not drop it.
-	rec.Detach()
-	spans := rec.snapshot(eng.Now())
-	if len(spans) != 1 {
-		t.Fatalf("spans after Detach = %d, want 1", len(spans))
-	}
-	if spans[0].end != eng.Now() {
-		t.Fatalf("open interval closed at %v, want %v", spans[0].end, eng.Now())
-	}
-	// Detaching again must be a no-op, not duplicate the spans.
-	rec.Detach()
-	if got := rec.Spans(); got != 1 {
-		t.Fatalf("spans after double Detach = %d, want 1", got)
 	}
 }
 
@@ -190,49 +154,53 @@ func TestSnapshotBeforeFirstStateChange(t *testing.T) {
 	if spans := rec.snapshot(eng.Now()); len(spans) != 0 {
 		t.Fatalf("snapshot before any state change = %d spans, want 0", len(spans))
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, eng.Now()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if len(events) != 0 {
+	if events := exportEvents(t, rec, nil, eng); len(events) != 0 {
 		t.Fatalf("pristine export has %d events, want 0", len(events))
 	}
 }
 
+// TestProcessNameMetadata: merged into a job's bus, each core's power
+// timeline lands in the "node N" process of the node hosting it.
 func TestProcessNameMetadata(t *testing.T) {
-	eng := simtime.NewEngine()
-	st := power.NewStation(eng, power.DefaultModel(), 2, 2)
-	rec := Attach(st, 2)
-	eng.Spawn("driver", func(p *simtime.Proc) {
-		st.Core(0).SetBusy(true)
-		st.Core(2).SetBusy(true)
-		p.Sleep(simtime.Millisecond)
-		st.Core(0).SetBusy(false)
-		st.Core(2).SetBusy(false)
+	cfg := mpi.DefaultConfig()
+	cfg.NProcs = 16
+	cfg.PPN = 8
+	cfg.Topo.Nodes = 2
+	w, err := mpi.NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.NewBus(w.Engine())
+	w.AttachObs(bus)
+	cpn := cfg.Topo.CoresPerNode()
+	rec := Attach(w.Station(), cpn)
+	w.Launch(func(r *mpi.Rank) {
+		collective.Barrier(mpi.CommWorld(r))
 	})
-	if _, err := eng.Run(simtime.Infinity); err != nil {
+	if _, err := w.Run(); err != nil {
 		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf, eng.Now()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	names := map[int]string{}
-	for _, ev := range events {
+	powerPIDs := map[int]bool{}
+	for _, ev := range exportEvents(t, rec, bus, w.Engine()) {
+		pid := int(ev["pid"].(float64))
 		if ev["name"] == "process_name" {
-			pid := int(ev["pid"].(float64))
 			names[pid] = ev["args"].(map[string]any)["name"].(string)
+			continue
 		}
+		args, _ := ev["args"].(map[string]any)
+		if _, isPower := args["tstate"]; !isPower {
+			continue
+		}
+		if core := int(ev["tid"].(float64)); pid != core/cpn {
+			t.Fatalf("core %d power span in process %d, want %d", core, pid, core/cpn)
+		}
+		powerPIDs[pid] = true
 	}
 	if names[0] != "node 0" || names[1] != "node 1" {
 		t.Fatalf("process_name metadata = %v, want node 0 and node 1", names)
+	}
+	if !powerPIDs[0] || !powerPIDs[1] {
+		t.Fatalf("power spans on processes %v, want both nodes", powerPIDs)
 	}
 }
