@@ -2,64 +2,29 @@ package simtime
 
 import "fmt"
 
-// Proc is a cooperative simulated process: a goroutine that runs only when
-// the engine hands it control and yields back whenever it blocks on a
-// primitive. All Proc methods must be called from the process's own
-// goroutine (inside the body passed to Spawn).
+// Proc is a cooperative simulated process. Its body runs as an iter.Pull
+// coroutine: the engine resumes it with next, and every blocking
+// primitive parks it through the coroutine's yield, so control moves
+// between the engine and a process by a direct goroutine switch rather
+// than a scheduler handoff. All Proc methods must be called from inside
+// the process's own body (the func passed to Spawn).
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	park   chan struct{}
-	done   bool
+	eng  *Engine
+	id   int
+	name string
+	// next resumes the body until its next park point (or its end);
+	// park is the coroutine's yield, called by the body to hand control
+	// back. Both are dropped once the body is done, so a finished
+	// process does not pin its body's captured state.
+	next func() (struct{}, bool)
+	park func(struct{}) bool
+	done bool
 	// killed marks a process condemned by Kill; its next resume unwinds
 	// the body with a Killed panic instead of continuing.
 	killed bool
 	// blockedOn describes what the process is waiting for; used in
 	// deadlock reports.
 	blockedOn string
-}
-
-// Spawn creates a process named name whose body starts executing at the
-// current virtual time (when the engine reaches that event). The body runs
-// on its own goroutine but is serialized with all other simulation
-// activity.
-func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		park:   make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			// A panicking process must still hand control back,
-			// or the engine would block forever on the park
-			// channel. The panic is surfaced as a Run error.
-			if r := recover(); r != nil {
-				if _, wasKilled := r.(Killed); !wasKilled {
-					if e.panicErr == nil {
-						e.panicErr = &ProcPanicError{Proc: p.name, Value: r}
-					}
-					e.stopped = true
-				}
-			}
-			p.done = true
-			p.park <- struct{}{}
-		}()
-		<-p.resume
-		// A process condemned before its first resume (KillLive on an
-		// aborted run) retires without ever running its body.
-		if p.killed {
-			panic(Killed{})
-		}
-		body(p)
-	}()
-	e.wakeAt(e.now, p)
-	return p
 }
 
 // ProcPanicError reports that a simulated process panicked; the engine
@@ -74,7 +39,7 @@ func (e *ProcPanicError) Error() string {
 }
 
 // Killed is the value a killed process's unwind panics with. Spawn's
-// recovery recognizes it and retires the goroutine silently — a kill is a
+// recovery recognizes it and retires the process silently — a kill is a
 // modeled fault (crash-stop rank failure), not a logic error, so it is not
 // recorded as a ProcPanicError. Bodies that must release external state on
 // a crash can recover Killed themselves and re-panic.
@@ -90,29 +55,6 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	p.eng.wakeAt(p.eng.now, p)
-}
-
-// runProc transfers control to p and blocks until p parks again (or
-// terminates). Must only be called from event context.
-func (e *Engine) runProc(p *Proc) {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-p.park
-}
-
-// yield parks the process and hands control back to the engine; it returns
-// when some event resumes the process.
-func (p *Proc) yield(reason string) {
-	p.blockedOn = reason
-	p.park <- struct{}{}
-	<-p.resume
-	if p.killed {
-		p.blockedOn = "killed"
-		panic(Killed{})
-	}
-	p.blockedOn = ""
 }
 
 // Engine returns the engine this process belongs to.
