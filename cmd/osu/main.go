@@ -111,13 +111,18 @@ var ops = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions)
 	},
 }
 
-// verifiedOps swaps an op for its self-verifying variant under -verify:
-// the ABFT-checked collectives carry a checksum shadow through the same
-// message schedule, and the loop compares every returned sum against the
-// expected value — a silently wrong result fails the benchmark run.
-var verifiedOps = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error{
+// verifyOps are the -verify-capable ops. -verify sets
+// CollectiveOptions.Verify and runs the op's entry here: allreduce_rd
+// appends checksum verification steps (OpVerify) to its plan, and
+// allreduce_topo/allreduce_ft carry an ABFT checksum lane through the
+// same message schedule and compare every returned sum against the
+// expected value — a silently wrong result fails the run. allreduce is
+// imperative and ignores the option.
+var verifyOps = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error{
+	"allreduce":    pacc.Allreduce,
+	"allreduce_rd": pacc.AllreduceRD,
 	"allreduce_topo": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		got, err := pacc.AllreduceSumChecked(c, b, float64(c.Owner().ID()+1), o)
+		got, err := pacc.AllreduceSum(c, b, float64(c.Owner().ID()+1), o)
 		if err != nil {
 			return err
 		}
@@ -127,7 +132,7 @@ var verifiedOps = map[string]func(c *pacc.Comm, bytes int64, opt pacc.Collective
 		return nil
 	},
 	"allreduce_ft": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		got, fc, err := pacc.AllreduceSumFTChecked(c, b, float64(c.Owner().ID()+1), o)
+		got, fc, err := pacc.AllreduceSumFT(c, b, float64(c.Owner().ID()+1), o)
 		if err != nil {
 			return err
 		}
@@ -136,14 +141,6 @@ var verifiedOps = map[string]func(c *pacc.Comm, bytes int64, opt pacc.Collective
 		}
 		return nil
 	},
-}
-
-// planVerifyOps are the plan-backed ops where -verify appends checksum
-// verification steps (OpVerify) to the built schedule instead of
-// swapping the entry point.
-var planVerifyOps = map[string]bool{
-	"allreduce":    true,
-	"allreduce_rd": true,
 }
 
 // groupSum is the expected checked-allreduce result over c's membership:
@@ -156,21 +153,11 @@ func groupSum(c *pacc.Comm) float64 {
 	return want
 }
 
-func verifyOpNames() string {
-	names := make([]string, 0, len(verifiedOps)+len(planVerifyOps))
-	for k := range verifiedOps {
-		names = append(names, k)
-	}
-	for k := range planVerifyOps {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
+func opNames() string { return sortedNames(ops) }
 
-func opNames() string {
-	names := make([]string, 0, len(ops))
-	for k := range ops {
+func sortedNames(m map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error) string {
+	names := make([]string, 0, len(m))
+	for k := range m {
 		names = append(names, k)
 	}
 	sort.Strings(names)
@@ -226,7 +213,7 @@ func main() {
 		faultSpec   = flag.String("fault", "", "deterministic fault-injection spec, e.g. 'seed=7;msgloss=0.02;degrade=node0-up@0.3:200us+2ms;straggler=1@1.5', 'crash=5@200us;detect=100us' (crash-stop; pair with -op allreduce_ft), 'seed=7;corrupt=0.05;terrfactor=2;memburst=3@0.2:100us+1ms' (in-flight bit flips are ICRC-rejected and retransmitted; memory bursts need -verify to be caught), or 'slow=3@8x:10ms+50ms;stickfail=0.3' (fail-slow: windowed gray degradation and lost power-transition writes; arms the fail-slow detector, pair with -op allreduce_ft for demotion)")
 		planName    = flag.String("plan", "", "communication plan: a registered builder name, or 'auto' for cost-based selection")
 		planObj     = flag.String("plan-objective", "latency", "objective for -plan auto: latency or energy")
-		verify      = flag.Bool("verify", false, "self-verify collective data every iteration: plan-backed allreduces append checksum verification steps, allreduce_topo/allreduce_ft run their ABFT-checked variants and compare the sum against the expected value")
+		verify      = flag.Bool("verify", false, "self-verify collective data every iteration (ops: "+sortedNames(verifyOps)+"): sets the Verify option, so plan-backed allreduces append checksum verification steps and allreduce_topo/allreduce_ft carry an ABFT checksum lane and compare the sum against the expected value")
 		detect      = flag.Bool("detect", false, "arm fail-slow detection (per-rank compute-lag scoreboards and suspect censuses) even without a slow=/stickfail= fault clause; costs zero simulated time")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole sweep; an exceeded deadline aborts the running simulation cleanly (0 = none)")
 		interruptEv = flag.Int("interrupt-every", 0, "poll for -timeout cancellation every N executed events (0 = engine default, 256); lower means faster aborts at the cost of per-event overhead")
@@ -285,15 +272,11 @@ func main() {
 	}
 	opt := pacc.CollectiveOptions{Plan: *planName}
 	if *verify {
-		switch {
-		case verifiedOps[*op] != nil:
-			call = verifiedOps[*op]
-		case planVerifyOps[*op]:
-			opt.Verify = true
-		default:
-			fmt.Fprintf(os.Stderr, "osu: -verify is not supported for op %q (have: %s)\n", *op, verifyOpNames())
+		if call, ok = verifyOps[*op]; !ok {
+			fmt.Fprintf(os.Stderr, "osu: -verify is not supported for op %q (have: %s)\n", *op, sortedNames(verifyOps))
 			os.Exit(2)
 		}
+		opt.Verify = true
 	}
 	switch *planObj {
 	case "latency":
@@ -449,12 +432,11 @@ func measure(ctx context.Context, cfg pacc.Config, call func(*pacc.Comm, int64, 
 			}
 		}
 	})
-	elapsed, err := w.RunContext(ctx)
-	if err != nil {
+	// A rank whose call fails leaves the loop and its peers then block in
+	// the next barrier: report the rank's error alongside the deadlock.
+	elapsed, runErr := w.RunContext(ctx)
+	if err := errors.Join(callErr, runErr); err != nil {
 		return 0, 0, nil, err
-	}
-	if callErr != nil {
-		return 0, 0, nil, callErr
 	}
 	lat := tr0.Phase("total").Micros() / float64(iters)
 	watts := w.Station().EnergyJoules() / elapsed.Seconds()

@@ -102,3 +102,27 @@ func TestMeasureHonorsTimeout(t *testing.T) {
 		t.Fatalf("err chain %v does not reach context.Canceled", err)
 	}
 }
+
+// TestMeasureReportsRankErrorBehindDeadlock: under a memory burst a
+// rank's verified allreduce_rd fails its checksum and leaves the loop,
+// so its peers block in the next barrier. The returned error must carry
+// that rank's integrity error, not only the deadlock it caused.
+func TestMeasureReportsRankErrorBehindDeadlock(t *testing.T) {
+	cfg := pacc.DefaultConfig()
+	spec, err := pacc.ParseFaultSpec("seed=3;memburst=*@0.2:50us+1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fault = spec
+	_, _, _, err = measure(context.Background(), cfg, ops["allreduce_rd"], 64<<10,
+		16, 8, pacc.NoPower, pacc.CollectiveOptions{Verify: true}, "polling", 3, false, false, false)
+	if err == nil {
+		t.Fatal("corrupted verified run reported success")
+	}
+	if !pacc.IsIntegrity(err) {
+		t.Fatalf("err = %v, want the failing rank's integrity error", err)
+	}
+	if !strings.Contains(err.Error(), "deadlock") {
+		t.Errorf("err = %v, want the peers' deadlock reported too", err)
+	}
+}

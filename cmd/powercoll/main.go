@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -182,11 +183,11 @@ func captureObs(spec, faultSpec, planName, tracePath, metricsPath, reportPath st
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if _, err := w.RunContext(ctx); err != nil {
+	// A rank whose call fails can leave its peers blocked: report the
+	// rank's error alongside the deadlock.
+	_, runErr := w.RunContext(ctx)
+	if err := errors.Join(callErr, runErr); err != nil {
 		return err
-	}
-	if callErr != nil {
-		return callErr
 	}
 	if tracePath != "" {
 		if err := sess.WriteTraceFile(tracePath); err != nil {

@@ -10,21 +10,10 @@ import (
 // allgather of node-sized blocks across leaders, intra-node distribution.
 // Proposed applies the §V-B throttle schedule during the leader phase.
 func Allgather(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("allgather", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "allgather", bytes, func() {
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { allgatherMC(c, bytes, opt, true) })
-		case FreqScaling:
-			withFreqScaling(c, func() { allgatherMC(c, bytes, opt, false) })
-		default:
-			allgatherMC(c, bytes, opt, false)
-		}
+	return runFixedSize(c, "allgather", bytes, opt, func(opt Options) error {
+		runScheme(c, opt, func(throttle bool) { allgatherMC(c, bytes, opt, throttle) })
+		return nil
 	})
-	return nil
 }
 
 // AllgatherRing runs the flat ring algorithm: P-1 steps, each forwarding
@@ -32,58 +21,24 @@ func Allgather(c *mpi.Comm, bytes int64, opt Options) error {
 // Options.Plan) a verified schedule and runs it through the plan
 // executor.
 func AllgatherRing(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("allgather_ring", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "allgather_ring", bytes, func() {
-		if opt.refImperative {
-			run := func() { ringAllgather(c, bytes, c.TagBlock()) }
-			if opt.Power == FreqScaling || opt.Power == Proposed {
-				withFreqScaling(c, run)
-				return
-			}
-			run()
-			return
-		}
-		err = runPlanned(c, "allgather", "allgather_ring", planSpec(bytes, nil, opt), opt)
+	return runFixedSize(c, "allgather_ring", bytes, opt, func(opt Options) error {
+		return runPlanned(c, "allgather", "allgather_ring", planSpec(bytes, nil, opt), opt,
+			func(bool) { ringAllgather(c, bytes, c.TagBlock()) })
 	})
-	return err
 }
 
 // AllgatherRD runs the recursive-doubling algorithm (power-of-two sizes
 // double the exchanged block each round); non-power-of-two communicators
 // fall back to the ring. Plan-backed.
 func AllgatherRD(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("allgather_rd", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "allgather_rd", bytes, func() {
-		if opt.refImperative {
-			run := func() {
-				if !isPow2(c.Size()) {
-					ringAllgather(c, bytes, c.TagBlock())
-					return
-				}
-				recursiveDoublingAllgather(c, bytes, c.TagBlock())
-			}
-			if opt.Power == FreqScaling || opt.Power == Proposed {
-				withFreqScaling(c, run)
-				return
-			}
-			run()
-			return
-		}
-		canonical := "allgather_rd"
+	return runFixedSize(c, "allgather_rd", bytes, opt, func(opt Options) error {
+		canonical, ref := "allgather_rd", recursiveDoublingAllgather
 		if !isPow2(c.Size()) {
-			canonical = "allgather_ring"
+			canonical, ref = "allgather_ring", ringAllgather
 		}
-		err = runPlanned(c, "allgather", canonical, planSpec(bytes, nil, opt), opt)
+		return runPlanned(c, "allgather", canonical, planSpec(bytes, nil, opt), opt,
+			func(bool) { ref(c, bytes, c.TagBlock()) })
 	})
-	return err
 }
 
 func recursiveDoublingAllgather(c *mpi.Comm, bytes int64, block int) {

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"errors"
+
 	"pacc/internal/mpi"
 )
 
@@ -11,63 +13,38 @@ import (
 // has every rank on the network, so Proposed reduces to per-call DVFS
 // there (the §V-B observation about fully-participating algorithms).
 func Allreduce(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("allreduce", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "allreduce", bytes, func() {
-		n := c.Size()
-		if n == 1 {
-			return
+	return runFixedSize(c, "allreduce", bytes, opt, func(opt Options) error {
+		switch n := c.Size(); {
+		case n == 1:
+			return nil
+		case isPow2(n) && opt.Power != Proposed:
+			runScheme(c, opt, func(bool) { recursiveDoublingAllreduce(c, bytes) })
+			return nil
+		default:
+			return reduceBcast(c, bytes, opt)
 		}
-		if isPow2(n) && opt.Power != Proposed {
-			run := func() { recursiveDoublingAllreduce(c, bytes) }
-			if opt.Power == FreqScaling {
-				withFreqScaling(c, run)
-				return
-			}
-			run()
-			return
-		}
-		// Composition path (and the Proposed scheme).
-		inner := opt
-		inner.Trace = nil // phases accounted by the inner calls' names
-		Reduce(c, 0, bytes, inner)
-		Bcast(c, 0, bytes, inner)
 	})
-	return nil
 }
 
 // AllreduceRD always runs recursive doubling (power-of-two only; falls
 // back to the composition otherwise). Plan-backed on the power-of-two
 // path.
 func AllreduceRD(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("allreduce_rd", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "allreduce_rd", bytes, func() {
-		n := c.Size()
-		if !isPow2(n) {
-			inner := opt
-			inner.Trace = nil
-			Reduce(c, 0, bytes, inner)
-			Bcast(c, 0, bytes, inner)
-			return
+	return runFixedSize(c, "allreduce_rd", bytes, opt, func(opt Options) error {
+		if !isPow2(c.Size()) {
+			return reduceBcast(c, bytes, opt)
 		}
-		if opt.refImperative {
-			run := func() { recursiveDoublingAllreduce(c, bytes) }
-			if opt.Power == FreqScaling || opt.Power == Proposed {
-				withFreqScaling(c, run)
-				return
-			}
-			run()
-			return
-		}
-		err = runPlanned(c, "allreduce", "allreduce_rd", planSpec(bytes, nil, opt), opt)
+		return runPlanned(c, "allreduce", "allreduce_rd", planSpec(bytes, nil, opt), opt,
+			func(bool) { recursiveDoublingAllreduce(c, bytes) })
 	})
-	return err
+}
+
+// reduceBcast composes Reduce and Bcast rooted at rank 0, each under the
+// call's resolved options; their phases are accounted under the inner
+// calls' names, not the caller's trace.
+func reduceBcast(c *mpi.Comm, bytes int64, opt Options) error {
+	opt.Trace = nil
+	return errors.Join(Reduce(c, 0, bytes, opt), Bcast(c, 0, bytes, opt))
 }
 
 func recursiveDoublingAllreduce(c *mpi.Comm, bytes int64) {

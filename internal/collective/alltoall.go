@@ -14,100 +14,50 @@ const bruckThreshold = 8 << 10
 // distinct block of bytes to every other rank. The algorithm follows
 // MVAPICH2: Bruck for small messages, pairwise exchange for large ones.
 // Options.Power selects the power scheme; Proposed uses the paper's
-// phased, throttling-aware schedule (§V-A).
+// phased, throttling-aware schedule (§V-A). Plan-backed.
 func Alltoall(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("alltoall", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "alltoall", bytes, func() {
-		if opt.refImperative {
-			switch opt.Power {
-			case Proposed:
-				withFreqScaling(c, func() {
-					alltoallPowerAware(c, constSize(bytes), opt)
-				})
-			case FreqScaling:
-				withFreqScaling(c, func() { alltoallDefault(c, bytes, opt) })
-			default:
-				alltoallDefault(c, bytes, opt)
-			}
-			return
+	return runFixedSize(c, "alltoall", bytes, opt, func(opt Options) error {
+		if bytes <= bruckThreshold && opt.Power != Proposed {
+			return bruckPlanned(c, bytes, opt)
 		}
-		canonical := "alltoall_pairwise"
-		switch {
-		case opt.Power == Proposed:
-			canonical = "alltoall_phased"
-		case bytes <= bruckThreshold:
-			canonical = "alltoall_bruck"
-		}
-		err = runPlanned(c, "alltoall", canonical, planSpec(bytes, nil, opt), opt)
+		return pairwisePlanned(c, bytes, opt)
 	})
-	return err
-}
-
-func alltoallDefault(c *mpi.Comm, bytes int64, opt Options) {
-	if bytes <= bruckThreshold {
-		alltoallBruck(c, bytes)
-		return
-	}
-	alltoallPairwise(c, constSize(bytes), opt)
 }
 
 // AlltoallPairwise runs the pairwise-exchange algorithm regardless of
 // message size (the paper's large-message baseline; §V-A phased schedule
 // under Proposed). Plan-backed.
 func AlltoallPairwise(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("alltoall_pairwise", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "alltoall_pairwise", bytes, func() {
-		if opt.refImperative {
-			switch opt.Power {
-			case Proposed:
-				withFreqScaling(c, func() { alltoallPowerAware(c, constSize(bytes), opt) })
-			case FreqScaling:
-				withFreqScaling(c, func() { alltoallPairwise(c, constSize(bytes), opt) })
-			default:
-				alltoallPairwise(c, constSize(bytes), opt)
-			}
-			return
-		}
-		canonical := "alltoall_pairwise"
-		if opt.Power == Proposed {
-			canonical = "alltoall_phased"
-		}
-		err = runPlanned(c, "alltoall", canonical, planSpec(bytes, nil, opt), opt)
+	return runFixedSize(c, "alltoall_pairwise", bytes, opt, func(opt Options) error {
+		return pairwisePlanned(c, bytes, opt)
 	})
-	return err
 }
 
 // AlltoallBruck runs the hypercube algorithm regardless of message size.
-// Plan-backed.
+// Bruck is only used for small messages, where the phased schedule has
+// nothing to hide behind, so both power-aware schemes reduce to per-call
+// DVFS. Plan-backed.
 func AlltoallBruck(c *mpi.Comm, bytes int64, opt Options) error {
-	if err := checkBytes("alltoall_bruck", bytes); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "alltoall_bruck", bytes, func() {
-		if opt.refImperative {
-			if opt.Power == FreqScaling || opt.Power == Proposed {
-				// Bruck is only used for small messages, where the
-				// phased schedule has nothing to hide behind; both
-				// power-aware schemes reduce to per-call DVFS.
-				withFreqScaling(c, func() { alltoallBruck(c, bytes) })
-				return
-			}
-			alltoallBruck(c, bytes)
-			return
-		}
-		err = runPlanned(c, "alltoall", "alltoall_bruck", planSpec(bytes, nil, opt), opt)
+	return runFixedSize(c, "alltoall_bruck", bytes, opt, func(opt Options) error {
+		return bruckPlanned(c, bytes, opt)
 	})
-	return err
+}
+
+// pairwisePlanned and bruckPlanned are the plan-backed bodies Alltoall
+// shares with AlltoallPairwise and AlltoallBruck. The pairwise schedule
+// is the §V-A phased one under Proposed.
+func pairwisePlanned(c *mpi.Comm, bytes int64, opt Options) error {
+	canonical := "alltoall_pairwise"
+	if opt.Power == Proposed {
+		canonical = "alltoall_phased"
+	}
+	return runPlanned(c, "alltoall", canonical, planSpec(bytes, nil, opt), opt,
+		func(throttle bool) { alltoallPairwiseOrPhased(c, constSize(bytes), opt, throttle) })
+}
+
+func bruckPlanned(c *mpi.Comm, bytes int64, opt Options) error {
+	return runPlanned(c, "alltoall", "alltoall_bruck", planSpec(bytes, nil, opt), opt,
+		func(bool) { alltoallBruck(c, bytes) })
 }
 
 // Alltoallv performs a personalized exchange with per-pair sizes:
@@ -119,16 +69,19 @@ func Alltoallv(c *mpi.Comm, sizeOf func(src, dst int) int64, opt Options) error 
 		return err
 	}
 	timeCollective(c, opt, "alltoallv", -1, func() {
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { alltoallPowerAware(c, sizeOf, opt) })
-		case FreqScaling:
-			withFreqScaling(c, func() { alltoallPairwise(c, sizeOf, opt) })
-		default:
-			alltoallPairwise(c, sizeOf, opt)
-		}
+		runScheme(c, opt, func(throttle bool) { alltoallPairwiseOrPhased(c, sizeOf, opt, throttle) })
 	})
 	return nil
+}
+
+// alltoallPairwiseOrPhased runs the imperative pairwise schedule, or the
+// §V-A phased schedule in its place when throttle is set.
+func alltoallPairwiseOrPhased(c *mpi.Comm, sizeOf func(src, dst int) int64, opt Options, throttle bool) {
+	if throttle {
+		alltoallPowerAware(c, sizeOf, opt)
+		return
+	}
+	alltoallPairwise(c, sizeOf, opt)
 }
 
 func constSize(bytes int64) func(src, dst int) int64 {

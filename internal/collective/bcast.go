@@ -16,24 +16,13 @@ func ctrlTag(block, k int) int { return block + (1 << 18) + k }
 // Proposed throttles the non-leader socket to T7 and the leader socket to
 // T4 during the network phase (§V-B, Figure 4).
 func Bcast(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("bcast", bytes); err != nil {
-		return err
-	}
 	if err := checkRoot("bcast", root, c.Size()); err != nil {
 		return err
 	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "bcast", bytes, func() {
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { bcastMC(c, root, bytes, opt, true) })
-		case FreqScaling:
-			withFreqScaling(c, func() { bcastMC(c, root, bytes, opt, false) })
-		default:
-			bcastMC(c, root, bytes, opt, false)
-		}
+	return runFixedSize(c, "bcast", bytes, opt, func(opt Options) error {
+		runScheme(c, opt, func(throttle bool) { bcastMC(c, root, bytes, opt, throttle) })
+		return nil
 	})
-	return nil
 }
 
 // BcastBinomial broadcasts with the flat binomial tree [23], ignoring the
@@ -41,28 +30,15 @@ func Bcast(c *mpi.Comm, root int, bytes int64, opt Options) error {
 // participates in network communication and throttling cannot be applied
 // without large penalties. Plan-backed.
 func BcastBinomial(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("bcast_binomial", bytes); err != nil {
-		return err
-	}
 	if err := checkRoot("bcast_binomial", root, c.Size()); err != nil {
 		return err
 	}
-	opt.Power = opt.effectivePower(bytes)
-	var err error
-	timeCollective(c, opt, "bcast_binomial", bytes, func() {
-		if opt.refImperative {
-			if opt.Power == FreqScaling || opt.Power == Proposed {
-				withFreqScaling(c, func() { binomialBcast(c, root, bytes, c.TagBlock()) })
-				return
-			}
-			binomialBcast(c, root, bytes, c.TagBlock())
-			return
-		}
+	return runFixedSize(c, "bcast_binomial", bytes, opt, func(opt Options) error {
 		spec := planSpec(bytes, nil, opt)
 		spec.Root = root
-		err = runPlanned(c, "bcast", "bcast_binomial", spec, opt)
+		return runPlanned(c, "bcast", "bcast_binomial", spec, opt,
+			func(bool) { binomialBcast(c, root, bytes, c.TagBlock()) })
 	})
-	return err
 }
 
 // bcastMC is the multi-core aware broadcast; throttle selects the §V-B

@@ -76,7 +76,7 @@ func TestRunResilientNoDemotionWhenHealthy(t *testing.T) {
 	run(t, cfg, func(r *mpi.Rank) {
 		c := mpi.CommWorld(r)
 		fc, err := RunResilient(c, func(cc *mpi.Comm) error {
-			_, e := allreduceSumChain(cc, 64<<10, 1)
+			_, e := allreduceSumChainRed(cc, 64<<10, redVal{v: 1})
 			return e
 		})
 		if err != nil {

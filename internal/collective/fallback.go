@@ -70,7 +70,8 @@ func fallbackToFlat(c *mpi.Comm, op string) bool {
 // AllreduceTopoAware combines bytes across all ranks through the rack
 // hierarchy: intra-node reduction to node leaders, leader exchange
 // (recursive doubling on a healthy fabric, a neighbor ring after a
-// degradation fallback), intra-node broadcast back.
+// degradation fallback), intra-node broadcast back. It is AllreduceSum
+// with a zero contribution, so opt.Verify runs it checked too.
 func AllreduceTopoAware(c *mpi.Comm, bytes int64, opt Options) error {
 	_, err := AllreduceSum(c, bytes, 0, opt)
 	return err
@@ -80,21 +81,28 @@ func AllreduceTopoAware(c *mpi.Comm, bytes int64, opt Options) error {
 // the simulated message schedule (the wire board): every rank
 // contributes v and receives the global sum, so tests can verify data
 // correctness end-to-end under injected faults, not just termination.
+// With opt.Verify set the call runs as allreduce_topo_checked: a
+// checksum lane rides every message and a verification fold ends the
+// call, so a corrupted result comes back alongside a VerificationError.
+// Without an agreement round only the ranks downstream of the corruption
+// observe the mismatch; callers that need a group-consistent verdict use
+// AllreduceSumFT.
 func AllreduceSum(c *mpi.Comm, bytes int64, v float64, opt Options) (float64, error) {
-	if err := checkBytes("allreduce_topo", bytes); err != nil {
-		return v, err
+	op := "allreduce_topo"
+	if opt.Verify {
+		op += "_checked"
 	}
-	opt.Power = opt.effectivePower(bytes)
-	out := v
-	timeCollective(c, opt, "allreduce_topo", bytes, func() {
-		run := func() { out = allreduceSum(c, bytes, redVal{v: v}, opt).v }
-		if opt.Power == FreqScaling || opt.Power == Proposed {
-			withFreqScaling(c, run)
-			return
-		}
-		run()
+	out := redVal{v: v, chk: v, checked: opt.Verify}
+	err := runFixedSize(c, op, bytes, opt, func(opt Options) error {
+		var vErr error
+		runScheme(c, opt, func(bool) {
+			out, vErr = runVerified(c, op, bytes, out, func(a redVal) (redVal, error) {
+				return allreduceSum(c, bytes, a, opt), nil
+			})
+		})
+		return vErr
 	})
-	return out, nil
+	return out.v, err
 }
 
 // allreduceSum moves a redVal through the topology-aware schedule: one

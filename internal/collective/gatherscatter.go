@@ -8,44 +8,26 @@ import (
 // using a binomial tree: subtree roots aggregate their subtree's blocks
 // before forwarding, so message sizes grow toward the root.
 func Gather(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("gather", bytes); err != nil {
-		return err
-	}
 	if err := checkRoot("gather", root, c.Size()); err != nil {
 		return err
 	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "gather", bytes, func() {
-		run := func() { binomialGather(c, root, bytes, c.TagBlock()) }
-		if opt.Power == FreqScaling || opt.Power == Proposed {
-			withFreqScaling(c, run)
-			return
-		}
-		run()
+	return runFixedSize(c, "gather", bytes, opt, func(opt Options) error {
+		runScheme(c, opt, func(bool) { binomialGather(c, root, bytes, c.TagBlock()) })
+		return nil
 	})
-	return nil
 }
 
 // Scatter distributes a distinct block of bytes from root to every rank
 // with the binomial range-splitting tree (the same schedule as the
 // scatter half of the large-message broadcast).
 func Scatter(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("scatter", bytes); err != nil {
-		return err
-	}
 	if err := checkRoot("scatter", root, c.Size()); err != nil {
 		return err
 	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "scatter", bytes, func() {
-		run := func() { binomialScatter(c, root, bytes, c.TagBlock()) }
-		if opt.Power == FreqScaling || opt.Power == Proposed {
-			withFreqScaling(c, run)
-			return
-		}
-		run()
+	return runFixedSize(c, "scatter", bytes, opt, func(opt Options) error {
+		runScheme(c, opt, func(bool) { binomialScatter(c, root, bytes, c.TagBlock()) })
+		return nil
 	})
-	return nil
 }
 
 // binomialGather mirrors binomialScatter: the owner of the upper half of

@@ -161,75 +161,18 @@ func verifyRed(c *mpi.Comm, op string, bytes int64, a redVal) error {
 	return &VerificationError{Op: op, Sum: a.v, Check: a.chk}
 }
 
-// AllreduceSumChecked is AllreduceSum with end-to-end ABFT verification:
-// same topology-aware schedule, same power behavior, plus a checksum lane
-// on every message and a verification fold at the end. On a mismatch the
-// result is returned alongside a VerificationError. Note that without an
-// agreement round only the ranks downstream of the corruption observe the
-// mismatch; callers that need a group-consistent verdict use the
-// fault-tolerant AllreduceSumFTChecked.
-func AllreduceSumChecked(c *mpi.Comm, bytes int64, v float64, opt Options) (float64, error) {
-	if err := checkBytes("allreduce_topo_checked", bytes); err != nil {
-		return v, err
+// runVerified runs one value-carrying schedule over a. When a carries
+// the checksum lane it first charges the input checksum fold — before
+// anything can corrupt the buffer, so the shadow lane is trustworthy
+// from there on — and after a clean run compares the lanes.
+func runVerified(c *mpi.Comm, op string, bytes int64, a redVal, run func(redVal) (redVal, error)) (redVal, error) {
+	if !a.checked {
+		return run(a)
 	}
-	opt.Power = opt.effectivePower(bytes)
-	r := c.Owner()
-	out := redVal{v: v, chk: v, checked: true}
-	var vErr error
-	timeCollective(c, opt, "allreduce_topo_checked", bytes, func() {
-		run := func() {
-			// The input checksum folds before anything can corrupt the
-			// buffer; the shadow lane is trustworthy from here on.
-			verifyCharge(r, bytes)
-			out = allreduceSum(c, bytes, out, opt)
-			vErr = verifyRed(c, "allreduce_topo_checked", bytes, out)
-		}
-		if opt.Power == FreqScaling || opt.Power == Proposed {
-			withFreqScaling(c, run)
-			return
-		}
-		run()
-	})
-	return out.v, vErr
-}
-
-// allreduceSumChainChecked is one attempt of the checked chain allreduce:
-// the chain schedule of allreduceSumChain carrying a checksum lane, with
-// the verification fold at the end.
-func allreduceSumChainChecked(c *mpi.Comm, op string, bytes int64, v float64) (float64, error) {
 	verifyCharge(c.Owner(), bytes)
-	out, err := allreduceSumChainRed(c, bytes, redVal{v: v, chk: v, checked: true})
+	out, err := run(a)
 	if err != nil {
-		return 0, err
+		return out, err
 	}
-	return out.v, verifyRed(c, op, bytes, out)
-}
-
-// AllreduceSumFTChecked is AllreduceSumFT with end-to-end ABFT
-// verification. A failed verification is a recoverable round: the member
-// that caught the mismatch votes to retry through the round agreement, so
-// every survivor — including ranks whose own lanes agreed — retries
-// together on a fresh communicator, exactly like a crash recovery. The
-// call succeeds once a round completes with no failures and no
-// verification vetoes anywhere in the group.
-func AllreduceSumFTChecked(c *mpi.Comm, bytes int64, v float64, opt Options) (float64, *mpi.Comm, error) {
-	if err := checkBytes("allreduce_ft_checked", bytes); err != nil {
-		return 0, c, err
-	}
-	power := opt.effectivePower(bytes) != NoPower
-	var sum float64
-	comm, err := RunResilient(c, func(cc *mpi.Comm) error {
-		var roundErr error
-		timeCollective(cc, opt, "allreduce_ft_checked", bytes, func() {
-			if power {
-				cc.Owner().ScaleDown()
-			}
-			sum, roundErr = allreduceSumChainChecked(cc, "allreduce_ft_checked", bytes, v)
-			if power {
-				cc.Owner().ScaleUp()
-			}
-		})
-		return roundErr
-	})
-	return sum, comm, err
+	return out, verifyRed(c, op, bytes, out)
 }

@@ -27,7 +27,7 @@ func TestCheckedHealthyMatchesUnchecked(t *testing.T) {
 	})
 	var checkedSum float64
 	dChecked, _ := run(t, cfg, func(r *mpi.Rank) {
-		s, err := AllreduceSumChecked(mpi.CommWorld(r), bytes, float64(r.ID()+1), Options{})
+		s, err := AllreduceSum(mpi.CommWorld(r), bytes, float64(r.ID()+1), Options{Verify: true})
 		if err != nil {
 			t.Errorf("rank %d: %v", r.ID(), err)
 		}
@@ -61,7 +61,7 @@ func TestCheckedNeverSilentlyWrong(t *testing.T) {
 	sums := make([]float64, cfg.NProcs)
 	errs := make([]error, cfg.NProcs)
 	run(t, cfg, func(r *mpi.Rank) {
-		sums[r.ID()], errs[r.ID()] = AllreduceSumChecked(mpi.CommWorld(r), 64<<10, float64(r.ID()+1), Options{})
+		sums[r.ID()], errs[r.ID()] = AllreduceSum(mpi.CommWorld(r), 64<<10, float64(r.ID()+1), Options{Verify: true})
 	})
 	caught := 0
 	for g := 0; g < cfg.NProcs; g++ {
@@ -98,7 +98,7 @@ func TestFTCheckedRetriesPastBurst(t *testing.T) {
 	sums := make([]float64, cfg.NProcs)
 	sizes := make([]int, cfg.NProcs)
 	run(t, cfg, func(r *mpi.Rank) {
-		sum, fc, err := AllreduceSumFTChecked(mpi.CommWorld(r), 64<<10, float64(r.ID()+1), Options{})
+		sum, fc, err := AllreduceSumFT(mpi.CommWorld(r), 64<<10, float64(r.ID()+1), Options{Verify: true})
 		if err != nil {
 			t.Errorf("rank %d: %v", r.ID(), err)
 		}
@@ -128,7 +128,7 @@ func TestFTCheckedBudgetExhaustion(t *testing.T) {
 	sums := make([]float64, cfg.NProcs)
 	errs := make([]error, cfg.NProcs)
 	run(t, cfg, func(r *mpi.Rank) {
-		sums[r.ID()], _, errs[r.ID()] = AllreduceSumFTChecked(mpi.CommWorld(r), 64<<10, float64(r.ID()+1), Options{})
+		sums[r.ID()], _, errs[r.ID()] = AllreduceSumFT(mpi.CommWorld(r), 64<<10, float64(r.ID()+1), Options{Verify: true})
 	})
 	sawIntegrity := false
 	for g := 0; g < cfg.NProcs; g++ {

@@ -2,8 +2,6 @@ package collective
 
 import (
 	"pacc/internal/mpi"
-	"pacc/internal/shm"
-	"pacc/internal/simtime"
 	"pacc/internal/topology"
 )
 
@@ -69,13 +67,6 @@ func localCopy(c *mpi.Comm, bytes int64) {
 	}
 	c.Owner().MemCopy(bytes)
 }
-
-func shmCopyAtFullSpeed(c *mpi.Comm, bytes int64) simtime.Duration {
-	return c.World().Config().Shm.CopyTime(bytes, 1.0)
-}
-
-// shmConfig is a convenience accessor.
-func shmConfig(c *mpi.Comm) shm.Config { return c.World().Config().Shm }
 
 // tournamentRounds returns the number of rounds needed for every pair of
 // n participants to meet exactly once: n-1 when n is even, n (with one

@@ -80,16 +80,18 @@ type Options struct {
 	// PlanObjective is the cost-model objective PlanAuto minimizes.
 	PlanObjective PlanObjective
 	// Verify turns on end-to-end ABFT verification where the call
-	// supports it: plan-backed collectives append an OpVerify checksum
-	// fold to each rank's schedule (allreduce builders), so memory-burst
-	// corruption of a reduction accumulator surfaces as a typed
-	// IntegrityError instead of escaping as a silently wrong result. The
-	// scalar checked entry points (AllreduceSumChecked and friends) carry
-	// verification unconditionally and ignore the field.
+	// supports it, and is the only switch for it: plan-backed allreduce
+	// builders append an OpVerify checksum fold to each rank's schedule,
+	// and the value-carrying AllreduceSum/AllreduceSumFT run a checksum
+	// shadow lane under the op names allreduce_topo_checked and
+	// allreduce_ft_checked. Memory-burst corruption of a reduction
+	// accumulator then surfaces as a typed integrity error instead of
+	// escaping as a silently wrong result. Other entry points ignore it.
 	Verify bool
-	// refImperative forces the original imperative implementation of a
-	// plan-backed entry point. Unexported: the differential tests use it
-	// to prove the plan path bit-identical to the reference.
+	// refImperative makes runPlanned run a plan-backed entry point's
+	// imperative reference schedule instead of its plan. Unexported: the
+	// differential tests use it to prove the plan path bit-identical to
+	// the reference.
 	refImperative bool
 }
 
@@ -209,12 +211,33 @@ func timeCollective(c *mpi.Comm, opt Options, op string, bytes int64, fn func())
 	}
 }
 
-// withFreqScaling brackets body with the per-call DVFS transitions used by
-// both power-aware schemes: all cores to fmin before, back to fmax after.
-func withFreqScaling(c *mpi.Comm, body func()) {
+// runFixedSize is the one call path of a fixed-size collective: it
+// rejects a non-positive size, resolves the scheme for the payload (the
+// DefaultPowerThreshold passthrough), and runs body inside
+// timeCollective with the resolved options.
+func runFixedSize(c *mpi.Comm, op string, bytes int64, opt Options, body func(opt Options) error) error {
+	if err := checkBytes(op, bytes); err != nil {
+		return err
+	}
+	opt.Power = opt.effectivePower(bytes)
+	var err error
+	timeCollective(c, opt, op, bytes, func() { err = body(opt) })
+	return err
+}
+
+// runScheme maps the call's power scheme onto an imperative schedule:
+// NoPower runs body as is; FreqScaling and Proposed bracket it with the
+// per-call DVFS transitions (all cores to fmin before, back to fmax
+// after); throttle is true only under Proposed, selecting the schedule's
+// §V phased T-state transitions.
+func runScheme(c *mpi.Comm, opt Options, body func(throttle bool)) {
+	if opt.Power != FreqScaling && opt.Power != Proposed {
+		body(false)
+		return
+	}
 	r := c.Owner()
 	r.ScaleDown()
-	body()
+	body(opt.Power == Proposed)
 	r.ScaleUp()
 }
 

@@ -44,7 +44,7 @@ const relRing = 1 << 17
 // bracketDVFS wraps every rank's schedule in the per-call DVFS
 // transitions (all cores to fmin before the first step, back to fmax
 // after the last) when the spec asks for frequency scaling — the plan
-// form of withFreqScaling.
+// form of runScheme.
 func bracketDVFS(pl *plan.Plan, s plan.Spec) {
 	if !s.FreqScale {
 		return

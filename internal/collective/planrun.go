@@ -105,8 +105,13 @@ func buildCached(c *mpi.Comm, name string, spec plan.Spec) (*plan.Plan, error) {
 // call. canonical is the builder that reproduces the entry point's
 // historical schedule; opt.Plan may override it with "auto" (cost-model
 // selection over the family's registered candidates) or an explicit
-// builder name.
-func runPlanned(c *mpi.Comm, family, canonical string, spec plan.Spec, opt Options) error {
+// builder name. ref is the entry point's imperative reference schedule:
+// with opt.refImperative set it runs under runScheme instead of the plan.
+func runPlanned(c *mpi.Comm, family, canonical string, spec plan.Spec, opt Options, ref func(throttle bool)) error {
+	if opt.refImperative {
+		runScheme(c, opt, ref)
+		return nil
+	}
 	name := canonical
 	switch opt.Plan {
 	case "", canonical:

@@ -14,24 +14,13 @@ import (
 // §V-B (Proposed throttles the non-leader socket to T7 and the leader
 // socket to T4 during the network phase).
 func Reduce(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("reduce", bytes); err != nil {
-		return err
-	}
 	if err := checkRoot("reduce", root, c.Size()); err != nil {
 		return err
 	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "reduce", bytes, func() {
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { reduceMC(c, root, bytes, opt, true) })
-		case FreqScaling:
-			withFreqScaling(c, func() { reduceMC(c, root, bytes, opt, false) })
-		default:
-			reduceMC(c, root, bytes, opt, false)
-		}
+	return runFixedSize(c, "reduce", bytes, opt, func(opt Options) error {
+		runScheme(c, opt, func(throttle bool) { reduceMC(c, root, bytes, opt, throttle) })
+		return nil
 	})
-	return nil
 }
 
 // reduceOp charges the cost of merging one buffer of the given size into

@@ -145,17 +145,12 @@ func RunResilient(c *mpi.Comm, body func(*mpi.Comm) error) (*mpi.Comm, error) {
 	return comm, fmt.Errorf("collective: resilient retry budget exhausted after %d rounds", c.Size()+1)
 }
 
-// allreduceSumChain is one attempt of the value-carrying chain allreduce:
-// partial sums flow down the chain to rank 0, the total flows back up.
-// Any failure surfaces as a structured error for the resilient runner.
-func allreduceSumChain(c *mpi.Comm, bytes int64, v float64) (float64, error) {
-	out, err := allreduceSumChainRed(c, bytes, redVal{v: v})
-	return out.v, err
-}
-
-// allreduceSumChainRed is the chain schedule over redVal: one lane for
-// the historical unchecked call, two for the checked variant. Accumulator
-// writes and relay buffers pass through the memory-corruption injector.
+// allreduceSumChainRed is one attempt of the value-carrying chain
+// allreduce: partial sums flow down the chain to rank 0, the total flows
+// back up. One lane for the unchecked call, two with the checksum lane.
+// Accumulator writes and relay buffers pass through the
+// memory-corruption injector; any failure surfaces as a structured error
+// for the resilient runner.
 func allreduceSumChainRed(c *mpi.Comm, bytes int64, a redVal) (redVal, error) {
 	block := c.TagBlock()
 	p, me := c.Size(), c.Rank()
@@ -196,19 +191,34 @@ func allreduceSumChainRed(c *mpi.Comm, bytes int64, a redVal) (redVal, error) {
 // of the successful round (the shrunken survivor group after recovery),
 // and the first non-failure error. The schedule is the any-size chain, so
 // it keeps working no matter how many ranks recovery removes.
+//
+// With opt.Verify set the call runs as allreduce_ft_checked, with
+// end-to-end ABFT verification. A failed verification is a recoverable
+// round: the member that caught the mismatch votes to retry through the
+// round agreement, so every survivor — including ranks whose own lanes
+// agreed — retries together on a fresh communicator, exactly like a
+// crash recovery. The call succeeds once a round completes with no
+// failures and no verification vetoes anywhere in the group.
 func AllreduceSumFT(c *mpi.Comm, bytes int64, v float64, opt Options) (float64, *mpi.Comm, error) {
-	if err := checkBytes("allreduce_ft", bytes); err != nil {
+	op := "allreduce_ft"
+	if opt.Verify {
+		op += "_checked"
+	}
+	if err := checkBytes(op, bytes); err != nil {
 		return 0, c, err
 	}
 	power := opt.effectivePower(bytes) != NoPower
 	var sum float64
 	comm, err := RunResilient(c, func(cc *mpi.Comm) error {
 		var roundErr error
-		timeCollective(cc, opt, "allreduce_ft", bytes, func() {
+		timeCollective(cc, opt, op, bytes, func() {
 			if power {
 				cc.Owner().ScaleDown()
 			}
-			sum, roundErr = allreduceSumChain(cc, bytes, v)
+			var out redVal
+			out, roundErr = runVerified(cc, op, bytes, redVal{v: v, chk: v, checked: opt.Verify},
+				func(a redVal) (redVal, error) { return allreduceSumChainRed(cc, bytes, a) })
+			sum = out.v
 			if power {
 				// Runs even after a failed chain; if this rank dies before
 				// reaching it, RunResilient restores the survivors.

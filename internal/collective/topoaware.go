@@ -66,30 +66,27 @@ func (rl *rackLayout) ranksInRack(rack int) int {
 // data arrives, the §VIII power schedule; FreqScaling applies per-call
 // DVFS only.
 func ScatterTopoAware(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("scatter_topo", bytes); err != nil {
+	return rackCollective(c, "scatter_topo", root, bytes, opt, Scatter, scatterTopo)
+}
+
+// rackCollective is the call path of the rooted rack-hierarchy
+// collectives: on a degraded fabric (see fallbackToFlat) it runs the flat
+// entry point instead, otherwise the rack schedule under the call's
+// power scheme.
+func rackCollective(c *mpi.Comm, op string, root int, bytes int64, opt Options,
+	flat func(c *mpi.Comm, root int, bytes int64, opt Options) error,
+	rack func(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool)) error {
+	if err := checkRoot(op, root, c.Size()); err != nil {
 		return err
 	}
-	if err := checkRoot("scatter_topo", root, c.Size()); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "scatter_topo", bytes, func() {
-		if fallbackToFlat(c, "scatter_topo") {
-			inner := opt
-			inner.Trace = nil
-			Scatter(c, root, bytes, inner)
-			return
+	return runFixedSize(c, op, bytes, opt, func(opt Options) error {
+		if fallbackToFlat(c, op) {
+			opt.Trace = nil
+			return flat(c, root, bytes, opt)
 		}
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { scatterTopo(c, root, bytes, opt, true) })
-		case FreqScaling:
-			withFreqScaling(c, func() { scatterTopo(c, root, bytes, opt, false) })
-		default:
-			scatterTopo(c, root, bytes, opt, false)
-		}
+		runScheme(c, opt, func(throttle bool) { rack(c, root, bytes, opt, throttle) })
+		return nil
 	})
-	return nil
 }
 
 func scatterTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
@@ -105,7 +102,6 @@ func scatterTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool)
 	myRack := rl.rackOfNodeIdx[myNodeIdx]
 	nodeLeader := lay.all[myNodeIdx][0]
 	rackLeader := rl.rackLeader(myRack)
-	rootRack := rl.rackOfNodeIdx[lay.idxOfNode[c.NodeOf(root)]]
 
 	// The §VIII schedule: everyone except the root and the rack leaders
 	// drops to the deep throttle state until released by its data.
@@ -132,7 +128,6 @@ func scatterTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool)
 			size := int64(rl.ranksInRack(myRack)) * bytes
 			c.Recv(root, size, c.PairTag(block, root, me))
 		}
-		_ = rootRack
 	})
 
 	// Phase 2 (intra-rack, inter-node): the rack leader ships each
@@ -181,30 +176,7 @@ func scatterTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool)
 // Proposed, every non-rack-leader waits fully throttled until its copy
 // arrives.
 func BcastTopoAware(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("bcast_topo", bytes); err != nil {
-		return err
-	}
-	if err := checkRoot("bcast_topo", root, c.Size()); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "bcast_topo", bytes, func() {
-		if fallbackToFlat(c, "bcast_topo") {
-			inner := opt
-			inner.Trace = nil
-			Bcast(c, root, bytes, inner)
-			return
-		}
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { bcastTopo(c, root, bytes, opt, true) })
-		case FreqScaling:
-			withFreqScaling(c, func() { bcastTopo(c, root, bytes, opt, false) })
-		default:
-			bcastTopo(c, root, bytes, opt, false)
-		}
-	})
-	return nil
+	return rackCollective(c, "bcast_topo", root, bytes, opt, Bcast, bcastTopo)
 }
 
 func bcastTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
@@ -281,30 +253,7 @@ func bcastTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {
 // Proposed, ranks that have delivered their contribution wait fully
 // throttled until the root confirms completion, then restore T0.
 func GatherTopoAware(c *mpi.Comm, root int, bytes int64, opt Options) error {
-	if err := checkBytes("gather_topo", bytes); err != nil {
-		return err
-	}
-	if err := checkRoot("gather_topo", root, c.Size()); err != nil {
-		return err
-	}
-	opt.Power = opt.effectivePower(bytes)
-	timeCollective(c, opt, "gather_topo", bytes, func() {
-		if fallbackToFlat(c, "gather_topo") {
-			inner := opt
-			inner.Trace = nil
-			Gather(c, root, bytes, inner)
-			return
-		}
-		switch opt.Power {
-		case Proposed:
-			withFreqScaling(c, func() { gatherTopo(c, root, bytes, opt, true) })
-		case FreqScaling:
-			withFreqScaling(c, func() { gatherTopo(c, root, bytes, opt, false) })
-		default:
-			gatherTopo(c, root, bytes, opt, false)
-		}
-	})
-	return nil
+	return rackCollective(c, "gather_topo", root, bytes, opt, Gather, gatherTopo)
 }
 
 func gatherTopo(c *mpi.Comm, root int, bytes int64, opt Options, throttle bool) {

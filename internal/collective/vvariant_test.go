@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -142,6 +143,21 @@ func TestFixedSizeEntryPointsRejectNonPositive(t *testing.T) {
 		"allreduce_rd":      func(c *mpi.Comm, b int64) error { return AllreduceRD(c, b, Options{}) },
 		"gather":            func(c *mpi.Comm, b int64) error { return Gather(c, 0, b, Options{}) },
 		"scatter":           func(c *mpi.Comm, b int64) error { return Scatter(c, 0, b, Options{}) },
+		"scatter_topo":      func(c *mpi.Comm, b int64) error { return ScatterTopoAware(c, 0, b, Options{}) },
+		"bcast_topo":        func(c *mpi.Comm, b int64) error { return BcastTopoAware(c, 0, b, Options{}) },
+		"gather_topo":       func(c *mpi.Comm, b int64) error { return GatherTopoAware(c, 0, b, Options{}) },
+		"AllreduceSum": func(c *mpi.Comm, b int64) error {
+			_, err := AllreduceSum(c, b, 1, Options{})
+			return err
+		},
+		"AllreduceSumFT": func(c *mpi.Comm, b int64) error {
+			_, _, err := AllreduceSumFT(c, b, 1, Options{})
+			return err
+		},
+		"AllreduceFT": func(c *mpi.Comm, b int64) error {
+			_, err := AllreduceFT(c, b, Options{})
+			return err
+		},
 	}
 	for name, call := range entries {
 		t.Run(name, func(t *testing.T) {
@@ -149,6 +165,40 @@ func TestFixedSizeEntryPointsRejectNonPositive(t *testing.T) {
 				_, err := runV(t, 4, 4, func(c *mpi.Comm) error { return call(c, bad) })
 				if err == nil {
 					t.Errorf("bytes=%d accepted", bad)
+				}
+			}
+		})
+	}
+}
+
+// TestRootedEntryPointsRejectOutOfRangeRoot: every rooted entry point
+// returns an error for a root outside the communicator (-1 and Size()),
+// before any rank spends simulated time on the call.
+func TestRootedEntryPointsRejectOutOfRangeRoot(t *testing.T) {
+	const procs = 4
+	entries := map[string]func(c *mpi.Comm, root int) error{
+		"bcast":          func(c *mpi.Comm, root int) error { return Bcast(c, root, 4096, Options{}) },
+		"bcast_binomial": func(c *mpi.Comm, root int) error { return BcastBinomial(c, root, 4096, Options{}) },
+		"reduce":         func(c *mpi.Comm, root int) error { return Reduce(c, root, 4096, Options{}) },
+		"gather":         func(c *mpi.Comm, root int) error { return Gather(c, root, 4096, Options{}) },
+		"scatter":        func(c *mpi.Comm, root int) error { return Scatter(c, root, 4096, Options{}) },
+		"scatter_topo":   func(c *mpi.Comm, root int) error { return ScatterTopoAware(c, root, 4096, Options{}) },
+		"bcast_topo":     func(c *mpi.Comm, root int) error { return BcastTopoAware(c, root, 4096, Options{}) },
+		"gather_topo":    func(c *mpi.Comm, root int) error { return GatherTopoAware(c, root, 4096, Options{}) },
+	}
+	for name, call := range entries {
+		t.Run(name, func(t *testing.T) {
+			for _, bad := range []int{-1, procs} {
+				d, err := runV(t, procs, procs, func(c *mpi.Comm) error { return call(c, bad) })
+				if err == nil {
+					t.Errorf("root=%d accepted", bad)
+					continue
+				}
+				if want := fmt.Sprintf("root %d outside [0,%d)", bad, procs); !strings.Contains(err.Error(), want) {
+					t.Errorf("root=%d: error %q does not name the bad root (%q)", bad, err, want)
+				}
+				if d != 0 {
+					t.Errorf("root=%d: rejected call ran for %v of simulated time", bad, d)
 				}
 			}
 		})

@@ -342,16 +342,8 @@ func Run(o Options) (*Result, error) {
 			energyDips[me] = fmt.Sprintf("negative energy %g at start", last)
 		}
 		for it := 0; it < o.Iters; it++ {
-			var sum float64
-			var fc *mpi.Comm
-			var err error
-			if o.Corrupt {
-				sum, fc, err = collective.AllreduceSumFTChecked(c, o.Bytes, float64(me+1),
-					collective.Options{Power: collective.FreqScaling})
-			} else {
-				sum, fc, err = collective.AllreduceSumFT(c, o.Bytes, float64(me+1),
-					collective.Options{Power: collective.FreqScaling})
-			}
+			sum, fc, err := collective.AllreduceSumFT(c, o.Bytes, float64(me+1),
+				collective.Options{Power: collective.FreqScaling, Verify: o.Corrupt})
 			if err != nil {
 				bodyErrs[me] = err
 				return

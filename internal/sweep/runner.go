@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -159,12 +160,11 @@ func Simulate(ctx context.Context, req Request) ([]byte, error) {
 			}
 		}
 	})
-	elapsed, err := w.RunContext(ctx)
-	if err != nil {
+	// A rank whose call fails leaves the loop and its peers then block in
+	// the next barrier: report the rank's error alongside the deadlock.
+	elapsed, runErr := w.RunContext(ctx)
+	if err := errors.Join(callErr, runErr); err != nil {
 		return nil, err
-	}
-	if callErr != nil {
-		return nil, callErr
 	}
 	var metrics bytes.Buffer
 	if err := bus.WriteMetricsJSON(&metrics); err != nil {

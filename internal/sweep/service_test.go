@@ -17,10 +17,12 @@ func svcReq(tenant string, i int) Request {
 }
 
 // countingRunner counts executions per key and returns key-derived bytes.
+// A non-nil hold parks every execution until it is closed.
 type countingRunner struct {
 	mu    sync.Mutex
 	runs  map[Key]int
 	delay time.Duration
+	hold  chan struct{}
 }
 
 func newCountingRunner(delay time.Duration) *countingRunner {
@@ -31,6 +33,13 @@ func (c *countingRunner) run(ctx context.Context, req Request) ([]byte, error) {
 	c.mu.Lock()
 	c.runs[req.Key()]++
 	c.mu.Unlock()
+	if c.hold != nil {
+		select {
+		case <-c.hold:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	if c.delay > 0 {
 		select {
 		case <-time.After(c.delay):
@@ -49,6 +58,10 @@ func (c *countingRunner) count(k Key) int {
 
 func TestServiceExactlyOnceUnderDuplication(t *testing.T) {
 	runner := newCountingRunner(time.Millisecond)
+	// The service has no store, so a request that finished before its
+	// duplicates arrive would run again: hold every execution until all
+	// submissions are accepted.
+	runner.hold = make(chan struct{})
 	svc := NewService(nil, Config{Workers: 4, QueueDepth: 256, Run: runner.run})
 	defer svc.Close()
 
@@ -63,6 +76,7 @@ func TestServiceExactlyOnceUnderDuplication(t *testing.T) {
 			tickets = append(tickets, tk)
 		}
 	}
+	close(runner.hold)
 	svc.Drain()
 	for _, tk := range tickets {
 		res, err := tk.Result()

@@ -303,6 +303,10 @@ func RunResilient(c *Comm, body func(*Comm) error) (*Comm, error) {
 // AllreduceSumFT is the fault-tolerant allreduce: every member
 // contributes v and the survivors of any crash-stop failures converge on
 // the sum over the final group, returned with the survivor communicator.
+// With opt.Verify set a verification failure is treated like a crashed
+// round — revoke, agree, retry — so transient corruption costs retries,
+// not correctness; the error after an exhausted budget stays
+// classifiable with IsIntegrity.
 func AllreduceSumFT(c *Comm, bytes int64, v float64, opt CollectiveOptions) (float64, *Comm, error) {
 	return collective.AllreduceSumFT(c, bytes, v, opt)
 }
@@ -312,23 +316,6 @@ func AllreduceSumFT(c *Comm, bytes int64, v float64, opt CollectiveOptions) (flo
 // survivor group.
 func AllreduceFT(c *Comm, bytes int64, opt CollectiveOptions) (*Comm, error) {
 	return collective.AllreduceFT(c, bytes, opt)
-}
-
-// AllreduceSumChecked is AllreduceSum with ABFT self-verification: a
-// checksum shadow rides the same message schedule and the result is
-// verified before it is returned — a corrupted value surfaces as a
-// VerificationError, never as a silently wrong sum.
-func AllreduceSumChecked(c *Comm, bytes int64, v float64, opt CollectiveOptions) (float64, error) {
-	return collective.AllreduceSumChecked(c, bytes, v, opt)
-}
-
-// AllreduceSumFTChecked combines the checked allreduce with ULFM-style
-// recovery: a verification failure is treated like a crashed round —
-// revoke, agree, retry — so transient corruption costs retries, not
-// correctness. The error after an exhausted budget stays classifiable
-// with IsIntegrity.
-func AllreduceSumFTChecked(c *Comm, bytes int64, v float64, opt CollectiveOptions) (float64, *Comm, error) {
-	return collective.AllreduceSumFTChecked(c, bytes, v, opt)
 }
 
 // Gather collects per-rank blocks onto root.
@@ -371,7 +358,10 @@ func AllreduceTopoAware(c *Comm, bytes int64, opt CollectiveOptions) error {
 // AllreduceSum is AllreduceTopoAware carrying a real float64 sum through
 // the simulated message schedule: every rank contributes v and receives
 // the global sum, so callers can verify end-to-end data correctness
-// under injected faults.
+// under injected faults. With opt.Verify set a checksum shadow rides the
+// same message schedule and the result is verified before it is
+// returned — a corrupted value surfaces as a VerificationError, never as
+// a silently wrong sum.
 func AllreduceSum(c *Comm, bytes int64, v float64, opt CollectiveOptions) (float64, error) {
 	return collective.AllreduceSum(c, bytes, v, opt)
 }
