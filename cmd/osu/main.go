@@ -15,48 +15,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"pacc"
+	"pacc/internal/collective"
 	"pacc/internal/prof"
+	"pacc/internal/stats"
 )
 
 // bwWindow is the number of in-flight messages in the bw test.
 const bwWindow = 64
 
-var ops = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error{
-	"alltoall": pacc.AlltoallPairwise,
-	"bruck":    pacc.AlltoallBruck,
-	"bcast": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Bcast(c, 0, b, o)
-	},
-	"bcast_binomial": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.BcastBinomial(c, 0, b, o)
-	},
-	"reduce": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Reduce(c, 0, b, o)
-	},
-	"allgather":      pacc.Allgather,
-	"allgather_ring": pacc.AllgatherRing,
-	"allgather_rd":   pacc.AllgatherRD,
-	"allreduce":      pacc.Allreduce,
-	"allreduce_rd":   pacc.AllreduceRD,
-	"allreduce_topo": pacc.AllreduceTopoAware,
-	// allreduce_ft is the ULFM-style fault-tolerant allreduce: under a
-	// crash fault spec the survivors revoke, agree, shrink and finish on
-	// the remaining ranks.
-	"allreduce_ft": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		_, _, err := pacc.AllreduceSumFT(c, b, float64(c.Owner().ID()+1), o)
-		return err
-	},
-	"gather": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Gather(c, 0, b, o)
-	},
-	"scatter": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Scatter(c, 0, b, o)
-	},
+// ops are osu's own microbenchmarks; every other op name runs the
+// collective catalogue's entry point (collective.Op).
+var ops = map[string]collective.OpFunc{
 	"barrier": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
 		start := c.Owner().Now()
 		pacc.Barrier(c)
@@ -111,89 +85,34 @@ var ops = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions)
 	},
 }
 
-// verifyOps are the -verify-capable ops. -verify sets
-// CollectiveOptions.Verify and runs the op's entry here: allreduce_rd
-// appends checksum verification steps (OpVerify) to its plan, and
-// allreduce_topo/allreduce_ft carry an ABFT checksum lane through the
-// same message schedule and compare every returned sum against the
-// expected value — a silently wrong result fails the run. allreduce is
-// imperative and ignores the option.
-var verifyOps = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error{
-	"allreduce":    pacc.Allreduce,
-	"allreduce_rd": pacc.AllreduceRD,
-	"allreduce_topo": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		got, err := pacc.AllreduceSum(c, b, float64(c.Owner().ID()+1), o)
-		if err != nil {
-			return err
-		}
-		if want := groupSum(c); got != want {
-			return fmt.Errorf("verify: allreduce_topo sum %g, want %g", got, want)
-		}
-		return nil
-	},
-	"allreduce_ft": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		got, fc, err := pacc.AllreduceSumFT(c, b, float64(c.Owner().ID()+1), o)
-		if err != nil {
-			return err
-		}
-		if want := groupSum(fc); got != want {
-			return fmt.Errorf("verify: allreduce_ft sum %g, want %g over the final group", got, want)
-		}
-		return nil
-	},
-}
-
-// groupSum is the expected checked-allreduce result over c's membership:
-// every member contributes its global rank id + 1.
-func groupSum(c *pacc.Comm) float64 {
-	want := 0.0
-	for i := 0; i < c.Size(); i++ {
-		want += float64(c.Global(i) + 1)
+// lookupOp resolves an op name to its call. With verify set only the
+// ops that honour the Verify option (collective.VerifyOpNames) are
+// accepted.
+func lookupOp(name string, verify bool) (collective.OpFunc, error) {
+	call, ok := ops[name]
+	if !ok {
+		call, ok = collective.Op(name)
 	}
-	return want
+	if !ok {
+		return nil, fmt.Errorf("unknown op %q (have: %s)", name, opNames())
+	}
+	if verify && !slices.Contains(collective.VerifyOpNames(), name) {
+		return nil, fmt.Errorf("-verify is not supported for op %q (have: %s)", name, verifyOpNames())
+	}
+	return call, nil
 }
 
-func opNames() string { return sortedNames(ops) }
-
-func sortedNames(m map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error) string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
+// opNames lists osu's microbenchmarks and the catalogue's ops, sorted.
+func opNames() string {
+	names := collective.OpNames()
+	for name := range ops {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
 
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
-}
-
-func parseMode(s string) (pacc.PowerMode, error) {
-	switch s {
-	case "no-power", "default":
-		return pacc.NoPower, nil
-	case "freq-scaling", "dvfs":
-		return pacc.FreqScaling, nil
-	case "proposed", "power-aware":
-		return pacc.Proposed, nil
-	default:
-		return 0, fmt.Errorf("unknown power mode %q (no-power, freq-scaling, proposed)", s)
-	}
-}
+func verifyOpNames() string { return strings.Join(collective.VerifyOpNames(), ", ") }
 
 func main() {
 	var (
@@ -213,7 +132,7 @@ func main() {
 		faultSpec   = flag.String("fault", "", "deterministic fault-injection spec, e.g. 'seed=7;msgloss=0.02;degrade=node0-up@0.3:200us+2ms;straggler=1@1.5', 'crash=5@200us;detect=100us' (crash-stop; pair with -op allreduce_ft), 'seed=7;corrupt=0.05;terrfactor=2;memburst=3@0.2:100us+1ms' (in-flight bit flips are ICRC-rejected and retransmitted; memory bursts need -verify to be caught), or 'slow=3@8x:10ms+50ms;stickfail=0.3' (fail-slow: windowed gray degradation and lost power-transition writes; arms the fail-slow detector, pair with -op allreduce_ft for demotion)")
 		planName    = flag.String("plan", "", "communication plan: a registered builder name, or 'auto' for cost-based selection")
 		planObj     = flag.String("plan-objective", "latency", "objective for -plan auto: latency or energy")
-		verify      = flag.Bool("verify", false, "self-verify collective data every iteration (ops: "+sortedNames(verifyOps)+"): sets the Verify option, so plan-backed allreduces append checksum verification steps and allreduce_topo/allreduce_ft carry an ABFT checksum lane and compare the sum against the expected value")
+		verify      = flag.Bool("verify", false, "self-verify collective data every iteration (ops: "+verifyOpNames()+"): sets the Verify option, so allreduce_rd appends checksum verification steps to its plan and allreduce_topo/allreduce_ft carry an ABFT checksum lane and compare the sum against the expected value")
 		detect      = flag.Bool("detect", false, "arm fail-slow detection (per-rank compute-lag scoreboards and suspect censuses) even without a slow=/stickfail= fault clause; costs zero simulated time")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole sweep; an exceeded deadline aborts the running simulation cleanly (0 = none)")
 		interruptEv = flag.Int("interrupt-every", 0, "poll for -timeout cancellation every N executed events (0 = engine default, 256); lower means faster aborts at the cost of per-event overhead")
@@ -260,24 +179,17 @@ func main() {
 		baseCfg.InterruptEvery = *interruptEv
 	}
 
-	call, ok := ops[*op]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "osu: unknown op %q (have: %s)\n", *op, opNames())
-		os.Exit(2)
-	}
-	mode, err := parseMode(*modeStr)
+	call, err := lookupOp(*op, *verify)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "osu:", err)
 		os.Exit(2)
 	}
-	opt := pacc.CollectiveOptions{Plan: *planName}
-	if *verify {
-		if call, ok = verifyOps[*op]; !ok {
-			fmt.Fprintf(os.Stderr, "osu: -verify is not supported for op %q (have: %s)\n", *op, sortedNames(verifyOps))
-			os.Exit(2)
-		}
-		opt.Verify = true
+	mode, err := collective.ParsePowerMode(*modeStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "osu:", err)
+		os.Exit(2)
 	}
+	opt := pacc.CollectiveOptions{Plan: *planName, Verify: *verify}
 	switch *planObj {
 	case "latency":
 		opt.PlanObjective = pacc.SelectByLatency
@@ -293,7 +205,7 @@ func main() {
 		src = *oneSize
 	}
 	for _, tok := range strings.Split(src, ",") {
-		v, err := parseSize(tok)
+		v, err := stats.ParseBytes(tok)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "osu:", err)
 			os.Exit(2)
@@ -376,7 +288,7 @@ func main() {
 // returns the mean per-call latency (µs, from rank 0's trace) and mean
 // cluster power over the whole run. ctx bounds the simulation: a
 // cancellation or deadline aborts it with a typed pacc.CanceledError.
-func measure(ctx context.Context, cfg pacc.Config, call func(*pacc.Comm, int64, pacc.CollectiveOptions) error, size int64,
+func measure(ctx context.Context, cfg pacc.Config, call collective.OpFunc, size int64,
 	procs, ppn int, mode pacc.PowerMode, base pacc.CollectiveOptions, progression string, iters int,
 	wantObs, wantReport, skipBarrier bool) (float64, float64, *pacc.ObsSession, error) {
 

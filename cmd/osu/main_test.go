@@ -3,54 +3,49 @@ package main
 import (
 	"context"
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
 	"pacc"
+	"pacc/internal/collective"
 )
 
-func TestParseSize(t *testing.T) {
-	cases := map[string]int64{
-		"1024": 1024,
-		"4K":   4096,
-		"4k":   4096,
-		"1M":   1 << 20,
-		" 64K": 64 << 10,
-		"0":    0,
+// call looks an op up the way main does, without -verify.
+func call(t *testing.T, name string) collective.OpFunc {
+	t.Helper()
+	c, err := lookupOp(name, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for in, want := range cases {
-		got, err := parseSize(in)
-		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", in, got, err, want)
+	return c
+}
+
+// TestVerifyOnlyForVerifyingOps: -verify must refuse an op whose entry
+// point ignores the Verify option (allreduce is imperative and checks
+// nothing) instead of printing "data verification: on" over an
+// unverified run, and must name the ops it does support.
+func TestVerifyOnlyForVerifyingOps(t *testing.T) {
+	for _, name := range []string{"allreduce", "alltoall", "bcast", "barrier", "bw"} {
+		_, err := lookupOp(name, true)
+		if err == nil {
+			t.Errorf("lookupOp(%q, verify) accepted an op that ignores Verify", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "allreduce_ft, allreduce_rd, allreduce_topo") {
+			t.Errorf("lookupOp(%q, verify) = %v, want the supported ops named", name, err)
 		}
 	}
-	for _, bad := range []string{"", "abc", "-4K", "4G"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q) accepted", bad)
+	for _, name := range []string{"allreduce_ft", "allreduce_rd", "allreduce_topo"} {
+		if _, err := lookupOp(name, true); err != nil {
+			t.Errorf("lookupOp(%q, verify): %v", name, err)
 		}
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	cases := map[string]pacc.PowerMode{
-		"no-power":     pacc.NoPower,
-		"default":      pacc.NoPower,
-		"freq-scaling": pacc.FreqScaling,
-		"dvfs":         pacc.FreqScaling,
-		"proposed":     pacc.Proposed,
-		"power-aware":  pacc.Proposed,
-	}
-	for in, want := range cases {
-		got, err := parseMode(in)
-		if err != nil || got != want {
-			t.Errorf("parseMode(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := parseMode("turbo"); err == nil {
-		t.Error("bogus mode accepted")
-	}
-}
-
+// TestOpNamesSortedAndComplete: osu runs exactly the collective
+// catalogue's ops plus its own barrier, bw and latency microbenchmarks,
+// and names exactly those when it rejects one.
 func TestOpNamesSortedAndComplete(t *testing.T) {
 	names := opNames()
 	for _, want := range []string{"alltoall", "bcast", "barrier", "latency", "bw", "reduce"} {
@@ -64,12 +59,27 @@ func TestOpNamesSortedAndComplete(t *testing.T) {
 			t.Fatalf("opNames not sorted: %s", names)
 		}
 	}
+	want := append(collective.OpNames(), "barrier", "bw", "latency")
+	sort.Strings(want)
+	if names != strings.Join(want, ", ") {
+		t.Fatalf("opNames() = %s, want %s", names, strings.Join(want, ", "))
+	}
+	for _, name := range want {
+		if _, err := lookupOp(name, false); err != nil {
+			t.Errorf("lookupOp(%q): %v", name, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "alltoall_pairwise", "allreduce_topo_checked"} {
+		if _, err := lookupOp(bad, false); err == nil {
+			t.Errorf("lookupOp(%q) accepted", bad)
+		}
+	}
 }
 
 // TestMeasureSmoke exercises the measurement loop end to end at a small
 // size.
 func TestMeasureSmoke(t *testing.T) {
-	lat, watts, _, err := measure(context.Background(), pacc.DefaultConfig(), ops["bcast"], 4096,
+	lat, watts, _, err := measure(context.Background(), pacc.DefaultConfig(), call(t, "bcast"), 4096,
 		16, 8, pacc.NoPower, pacc.CollectiveOptions{}, "polling", 2, false, false, false)
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +87,11 @@ func TestMeasureSmoke(t *testing.T) {
 	if lat <= 0 || watts <= 0 {
 		t.Fatalf("degenerate measurement: %v us, %v W", lat, watts)
 	}
-	if _, _, _, err := measure(context.Background(), pacc.DefaultConfig(), ops["bcast"], 4096,
+	if _, _, _, err := measure(context.Background(), pacc.DefaultConfig(), call(t, "bcast"), 4096,
 		15, 8, pacc.NoPower, pacc.CollectiveOptions{}, "polling", 1, false, false, false); err == nil {
 		t.Error("procs not multiple of ppn accepted")
 	}
-	if _, _, _, err := measure(context.Background(), pacc.DefaultConfig(), ops["bcast"], 4096,
+	if _, _, _, err := measure(context.Background(), pacc.DefaultConfig(), call(t, "bcast"), 4096,
 		16, 8, pacc.NoPower, pacc.CollectiveOptions{}, "warp", 1, false, false, false); err == nil {
 		t.Error("bogus progression accepted")
 	}
@@ -92,7 +102,7 @@ func TestMeasureSmoke(t *testing.T) {
 func TestMeasureHonorsTimeout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, _, err := measure(ctx, pacc.DefaultConfig(), ops["bcast"], 4096,
+	_, _, _, err := measure(ctx, pacc.DefaultConfig(), call(t, "bcast"), 4096,
 		16, 8, pacc.NoPower, pacc.CollectiveOptions{}, "polling", 2, false, false, false)
 	var ce *pacc.CanceledError
 	if !errors.As(err, &ce) {
@@ -114,7 +124,7 @@ func TestMeasureReportsRankErrorBehindDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Fault = spec
-	_, _, _, err = measure(context.Background(), cfg, ops["allreduce_rd"], 64<<10,
+	_, _, _, err = measure(context.Background(), cfg, call(t, "allreduce_rd"), 64<<10,
 		16, 8, pacc.NoPower, pacc.CollectiveOptions{Verify: true}, "polling", 3, false, false, false)
 	if err == nil {
 		t.Fatal("corrupted verified run reported success")

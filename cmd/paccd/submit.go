@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"pacc/internal/collective"
 	"pacc/internal/sweep"
 )
 
@@ -19,7 +20,7 @@ func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", "http://localhost:8410", "daemon base URL")
-		ops     = fs.String("ops", "allreduce_topo", "comma-separated ops (see daemon docs)")
+		ops     = fs.String("ops", "allreduce_topo", "comma-separated ops: "+strings.Join(collective.OpNames(), ", "))
 		sizes   = fs.String("sizes", "64K", "comma-separated message sizes (K/M suffixes)")
 		modes   = fs.String("modes", "no-power", "comma-separated power modes")
 		seeds   = fs.String("seeds", "", "seed sweep: 'lo:hi' half-open or comma list")

@@ -17,14 +17,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"pacc"
+	"pacc/internal/collective"
 	"pacc/internal/prof"
 	"pacc/internal/report"
+	"pacc/internal/stats"
 )
 
 func main() {
@@ -37,7 +37,7 @@ func main() {
 		traceP   = flag.String("trace", "", "write a merged Chrome trace of an instrumented demo run to this file")
 		metricP  = flag.String("metrics", "", "write a metrics JSON snapshot of the demo run to this file")
 		reportP  = flag.String("report", "", "write an analytics report (critical path, slack, energy attribution) of the demo run to this file")
-		obsSpec  = flag.String("obs", "alltoall:256K:proposed", "demo run for -trace/-metrics as op:size:mode")
+		obsSpec  = flag.String("obs", "alltoall:256K:proposed", "demo run for -trace/-metrics as op:size:mode; ops: "+strings.Join(collective.OpNames(), ", "))
 		faultP   = flag.String("fault", "", "deterministic fault-injection spec for the demo run, e.g. 'seed=7;msgloss=0.02;degrade=node0-up@0.3:200us+2ms'; crash-stop syntax: 'crash=RANK@TIME;detect=DUR'; data corruption: 'corrupt=PROB;terrfactor=N;memburst=RANK@PROB:START+DUR' (RANK may be *)")
 		planP    = flag.String("plan", "", "communication plan for the demo run: a registered builder name, or 'auto' for cost-based selection")
 		timeoutP = flag.Duration("timeout", 0, "wall-clock budget for the demo run; an exceeded deadline aborts the simulation cleanly (0 = none)")
@@ -124,36 +124,14 @@ func main() {
 	}
 }
 
-// obsOps maps demo-run operation names to collective calls on the paper's
-// default testbed.
-var obsOps = map[string]func(c *pacc.Comm, bytes int64, opt pacc.CollectiveOptions) error{
-	"alltoall": pacc.Alltoall,
-	"bcast": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Bcast(c, 0, b, o)
-	},
-	"reduce": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Reduce(c, 0, b, o)
-	},
-	"allgather":      pacc.Allgather,
-	"allreduce":      pacc.Allreduce,
-	"allreduce_topo": pacc.AllreduceTopoAware,
-	"gather": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Gather(c, 0, b, o)
-	},
-	"scatter": func(c *pacc.Comm, b int64, o pacc.CollectiveOptions) error {
-		return pacc.Scatter(c, 0, b, o)
-	},
-}
-
 // captureObs runs one instrumented collective call on the default testbed
 // (optionally under a fault-injection spec and a wall-clock timeout) and
 // writes the merged trace and/or metrics snapshot.
 func captureObs(spec, faultSpec, planName, tracePath, metricsPath, reportPath string, timeout time.Duration) error {
-	op, bytes, mode, err := parseObsSpec(spec)
+	call, bytes, mode, err := parseObsSpec(spec)
 	if err != nil {
 		return err
 	}
-	call := obsOps[op]
 	cfg := pacc.DefaultConfig()
 	if faultSpec != "" {
 		fs, err := pacc.ParseFaultSpec(faultSpec)
@@ -211,54 +189,24 @@ func captureObs(spec, faultSpec, planName, tracePath, metricsPath, reportPath st
 }
 
 // parseObsSpec splits an op:size:mode demo-run spec, e.g.
-// "alltoall:256K:proposed".
-func parseObsSpec(spec string) (string, int64, pacc.PowerMode, error) {
+// "alltoall:256K:proposed", and resolves the op in the collective
+// catalogue.
+func parseObsSpec(spec string) (collective.OpFunc, int64, pacc.PowerMode, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 3 {
-		return "", 0, 0, fmt.Errorf("bad -obs spec %q (want op:size:mode)", spec)
+		return nil, 0, 0, fmt.Errorf("bad -obs spec %q (want op:size:mode)", spec)
 	}
-	op := parts[0]
-	if _, ok := obsOps[op]; !ok {
-		names := make([]string, 0, len(obsOps))
-		for k := range obsOps {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		return "", 0, 0, fmt.Errorf("unknown -obs op %q (have: %s)", op, strings.Join(names, ", "))
+	call, ok := collective.Op(parts[0])
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("unknown -obs op %q (have: %s)", parts[0], strings.Join(collective.OpNames(), ", "))
 	}
-	bytes, err := parseSize(parts[1])
+	bytes, err := stats.ParseBytes(parts[1])
 	if err != nil {
-		return "", 0, 0, err
+		return nil, 0, 0, err
 	}
-	var mode pacc.PowerMode
-	switch parts[2] {
-	case "no-power", "default":
-		mode = pacc.NoPower
-	case "freq-scaling", "dvfs":
-		mode = pacc.FreqScaling
-	case "proposed", "power-aware":
-		mode = pacc.Proposed
-	default:
-		return "", 0, 0, fmt.Errorf("unknown -obs power mode %q (no-power, freq-scaling, proposed)", parts[2])
+	mode, err := collective.ParsePowerMode(parts[2])
+	if err != nil {
+		return nil, 0, 0, fmt.Errorf("-obs: %w", err)
 	}
-	return op, bytes, mode, nil
-}
-
-// parseSize parses sizes like "512", "256K", "1M".
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = strings.TrimSuffix(s, "K")
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
+	return call, bytes, mode, nil
 }

@@ -52,6 +52,21 @@ func (m PowerMode) String() string {
 	}
 }
 
+// ParsePowerMode is the inverse of PowerMode.String. It also accepts the
+// aliases default, dvfs and power-aware, and "" for NoPower.
+func ParsePowerMode(s string) (PowerMode, error) {
+	switch s {
+	case "no-power", "default", "":
+		return NoPower, nil
+	case "freq-scaling", "dvfs":
+		return FreqScaling, nil
+	case "proposed", "power-aware":
+		return Proposed, nil
+	default:
+		return 0, fmt.Errorf("unknown power mode %q (no-power, freq-scaling, proposed)", s)
+	}
+}
+
 // Options tunes one collective call. The paper's remaining constants
 // are fixed rather than tunable: the §V-B leader-socket T-state (T4),
 // the local reduction rate (plan.ReduceRate) and the message size below

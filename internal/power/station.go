@@ -68,13 +68,6 @@ func (s *Station) ResetEnergy() {
 	}
 }
 
-// AttachLedger attaches l to every core.
-func (s *Station) AttachLedger(l *Ledger) {
-	for _, c := range s.cores {
-		c.AttachLedger(l)
-	}
-}
-
 // Sample is one power-meter reading.
 type Sample struct {
 	At    simtime.Time

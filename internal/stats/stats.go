@@ -1,10 +1,12 @@
 // Package stats holds the small numeric helpers the experiment harness
-// uses to summarize series.
+// uses to summarize series, and the K/M syntax of message sizes.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Mean returns the arithmetic mean (0 for an empty slice).
@@ -73,6 +75,27 @@ func FormatBytes(b int64) string {
 	default:
 		return fmt.Sprintf("%d", b)
 	}
+}
+
+// ParseBytes is the inverse of FormatBytes: a non-negative count with an
+// optional K or M suffix (powers of two, either case), e.g. "512",
+// "64K", "1m". A value that overflows int64 is an error.
+func ParseBytes(s string) (int64, error) {
+	s = strings.TrimSpace(s)
+	num, mult := strings.ToUpper(s), int64(1)
+	if n, ok := strings.CutSuffix(num, "M"); ok {
+		num, mult = n, 1<<20
+	} else if n, ok := strings.CutSuffix(num, "K"); ok {
+		num, mult = n, 1<<10
+	}
+	v, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || v < 0 {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	if v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("size %q overflows int64", s)
+	}
+	return v * mult, nil
 }
 
 // PercentDelta returns 100*(b-a)/a.

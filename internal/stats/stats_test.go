@@ -82,3 +82,31 @@ func TestMeanBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseBytes(t *testing.T) {
+	cases := map[string]int64{
+		"1024": 1024,
+		"4K":   4096,
+		"4k":   4096,
+		"1M":   1 << 20,
+		" 64K": 64 << 10,
+		"0":    0,
+	}
+	for in, want := range cases {
+		got, err := ParseBytes(in)
+		if err != nil || got != want {
+			t.Errorf("ParseBytes(%q) = %d, %v; want %d", in, got, err, want)
+		}
+	}
+	// 17592186044417M is 2^64 + 1M: it used to wrap around to 1M.
+	for _, bad := range []string{"", "abc", "-4K", "4G", "17592186044417M", "9223372036854775807K"} {
+		if _, err := ParseBytes(bad); err == nil {
+			t.Errorf("ParseBytes(%q) accepted", bad)
+		}
+	}
+	for _, b := range []int64{0, 512, 1 << 10, 64 << 10, 1 << 20, 3<<20 + 1, math.MaxInt64} {
+		if got, err := ParseBytes(FormatBytes(b)); err != nil || got != b {
+			t.Errorf("ParseBytes(FormatBytes(%d)) = %d, %v", b, got, err)
+		}
+	}
+}

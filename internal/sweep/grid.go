@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"pacc/internal/stats"
 )
 
 // Grid describes a parameter sweep: the cartesian product of ops ×
@@ -66,29 +68,19 @@ func (g Grid) Cells(limit int) (int, bool) {
 	return n, true
 }
 
-// ParseSizes parses a comma-separated size list with K/M suffixes
-// (powers of two), e.g. "1K,64K,1M".
+// ParseSizes parses a comma-separated size list in stats.ParseBytes
+// syntax, e.g. "1K,64K,1M"; empty entries are skipped.
 func ParseSizes(src string) ([]int64, error) {
 	var out []int64
 	for _, tok := range strings.Split(src, ",") {
-		tok = strings.TrimSpace(strings.ToUpper(tok))
-		if tok == "" {
+		if strings.TrimSpace(tok) == "" {
 			continue
 		}
-		mult := int64(1)
-		switch {
-		case strings.HasSuffix(tok, "M"):
-			mult = 1 << 20
-			tok = strings.TrimSuffix(tok, "M")
-		case strings.HasSuffix(tok, "K"):
-			mult = 1 << 10
-			tok = strings.TrimSuffix(tok, "K")
+		v, err := stats.ParseBytes(tok)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		v, err := strconv.ParseInt(tok, 10, 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("sweep: bad size %q", tok)
-		}
-		out = append(out, v*mult)
+		out = append(out, v)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("sweep: empty size list %q", src)

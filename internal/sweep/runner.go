@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"pacc/internal/collective"
 	"pacc/internal/fault"
@@ -21,60 +19,6 @@ import (
 // dedupe story rests on identical requests producing identical bytes —
 // and must honor ctx (cancellation, deadline) promptly.
 type RunFunc func(ctx context.Context, req Request) ([]byte, error)
-
-// opTable maps request op names onto collective entry points.
-var opTable = map[string]func(c *mpi.Comm, bytes int64, opt collective.Options) error{
-	"alltoall":       collective.AlltoallPairwise,
-	"bruck":          collective.AlltoallBruck,
-	"allgather":      collective.Allgather,
-	"allgather_ring": collective.AllgatherRing,
-	"allgather_rd":   collective.AllgatherRD,
-	"allreduce":      collective.Allreduce,
-	"allreduce_rd":   collective.AllreduceRD,
-	"allreduce_topo": collective.AllreduceTopoAware,
-	"allreduce_ft": func(c *mpi.Comm, b int64, o collective.Options) error {
-		_, _, err := collective.AllreduceSumFT(c, b, float64(c.Owner().ID()+1), o)
-		return err
-	},
-	"bcast": func(c *mpi.Comm, b int64, o collective.Options) error {
-		return collective.Bcast(c, 0, b, o)
-	},
-	"bcast_binomial": func(c *mpi.Comm, b int64, o collective.Options) error {
-		return collective.BcastBinomial(c, 0, b, o)
-	},
-	"reduce": func(c *mpi.Comm, b int64, o collective.Options) error {
-		return collective.Reduce(c, 0, b, o)
-	},
-	"gather": func(c *mpi.Comm, b int64, o collective.Options) error {
-		return collective.Gather(c, 0, b, o)
-	},
-	"scatter": func(c *mpi.Comm, b int64, o collective.Options) error {
-		return collective.Scatter(c, 0, b, o)
-	},
-}
-
-// OpNames lists the runnable ops, sorted.
-func OpNames() string {
-	names := make([]string, 0, len(opTable))
-	for k := range opTable {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-func parseMode(s string) (collective.PowerMode, error) {
-	switch s {
-	case "no-power", "default", "":
-		return collective.NoPower, nil
-	case "freq-scaling", "dvfs":
-		return collective.FreqScaling, nil
-	case "proposed", "power-aware":
-		return collective.Proposed, nil
-	default:
-		return 0, fmt.Errorf("sweep: unknown power mode %q (no-power, freq-scaling, proposed)", s)
-	}
-}
 
 // Result is the decoded form of a stored result payload.
 type Result struct {
@@ -110,10 +54,9 @@ func Simulate(ctx context.Context, req Request) ([]byte, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	mode, err := parseMode(req.Mode)
-	if err != nil {
-		return nil, err
-	}
+	// Validate has resolved the op and the mode.
+	call, _ := collective.Op(req.Op)
+	mode, _ := collective.ParsePowerMode(req.Mode)
 	cfg := mpi.DefaultConfig()
 	cfg.NProcs = req.Procs
 	cfg.PPN = req.PPN
@@ -132,7 +75,6 @@ func Simulate(ctx context.Context, req Request) ([]byte, error) {
 	if iters == 0 {
 		iters = 1
 	}
-	call := opTable[req.Op]
 	opt := collective.Options{Power: mode, Plan: req.Plan}
 
 	w, err := mpi.NewWorld(cfg)

@@ -33,7 +33,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
+	"pacc/internal/collective"
 	"pacc/internal/fault"
 )
 
@@ -131,8 +133,8 @@ func (r Request) Key() Key {
 // Validate checks the request describes a runnable simulation; the
 // returned error names the offending field.
 func (r Request) Validate() error {
-	if _, ok := opTable[r.Op]; !ok {
-		return fmt.Errorf("sweep: unknown op %q (have: %s)", r.Op, OpNames())
+	if _, ok := collective.Op(r.Op); !ok {
+		return fmt.Errorf("sweep: unknown op %q (have: %s)", r.Op, strings.Join(collective.OpNames(), ", "))
 	}
 	if r.Procs <= 0 || r.PPN <= 0 {
 		return fmt.Errorf("sweep: procs %d and ppn %d must be positive", r.Procs, r.PPN)
@@ -146,8 +148,8 @@ func (r Request) Validate() error {
 	if r.Iters < 0 {
 		return fmt.Errorf("sweep: negative iters %d", r.Iters)
 	}
-	if _, err := parseMode(r.Mode); err != nil {
-		return err
+	if _, err := collective.ParsePowerMode(r.Mode); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	if r.Fault != "" {
 		if _, err := fault.Parse(r.Fault); err != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"pacc/internal/collective"
 )
 
 func TestKeyTenantIndependent(t *testing.T) {
@@ -126,10 +128,38 @@ func TestParseSizes(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseSizes = %v, want %v", got, want)
 	}
-	for _, bad := range []string{"", "1G?", "-4K", "abc"} {
+	// 17592186044417M is 2^64 + 1M: it used to wrap around to [1048576].
+	for _, bad := range []string{"", "1G?", "-4K", "abc", "1K,17592186044417M"} {
 		if _, err := ParseSizes(bad); err == nil {
 			t.Errorf("ParseSizes(%q) accepted", bad)
 		}
+	}
+}
+
+// TestValidateAcceptsCatalogue: a request may name exactly the
+// collective catalogue's ops and its power-mode names.
+func TestValidateAcceptsCatalogue(t *testing.T) {
+	base := Request{Procs: 8, PPN: 4, Bytes: 1024}
+	for _, name := range collective.OpNames() {
+		for _, mode := range []string{"", "no-power", "dvfs", "proposed"} {
+			r := base
+			r.Op, r.Mode = name, mode
+			if err := r.Validate(); err != nil {
+				t.Errorf("Validate(%s, %q): %v", name, mode, err)
+			}
+		}
+	}
+	for _, bad := range []string{"", "barrier", "bw", "latency", "bogus", "alltoall_pairwise"} {
+		r := base
+		r.Op = bad
+		if err := r.Validate(); err == nil {
+			t.Errorf("Validate accepted op %q", bad)
+		}
+	}
+	r := base
+	r.Op, r.Mode = "bcast", "turbo"
+	if err := r.Validate(); err == nil {
+		t.Error("Validate accepted mode turbo")
 	}
 }
 
